@@ -3,11 +3,14 @@ import pytest
 
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
+    _GRID_BLOCK,
     _channel_data,
     _fidelity_samples,
     average_fidelity_approx,
     average_fidelity_exact,
+    edge_products,
     fidelity_from_edge_amplitudes,
+    fidelity_grid,
     haar_average_mc,
     worst_case_fidelity,
 )
@@ -60,6 +63,41 @@ class TestExactAverage:
             assert abs(abs(a.amplitudes[key]) - abs(b.amplitudes[key])) < 1e-10
         for key in ("pair_leakage", "diagonal_f", "cross_f", "pair_return"):
             assert abs(a.terms[key] - b.terms[key]) < 1e-10
+
+
+class TestFidelityGrid:
+    # N = 29 and 200 are quasi-Rabi, N = 46 is Rabi; the sizes cover one
+    # point, partial, exact and overflowing blocks and a partial third block
+    B = _GRID_BLOCK
+    SIZES = (1, B - 1, B, B + 1, 2 * B + 37)
+
+    @pytest.mark.parametrize("t0", [0.0, 1234.5])
+    @pytest.mark.parametrize("N", [29, 46, 200])
+    def test_matches_exact_pointwise(self, N, t0):
+        spec = ChainSpec(N=N, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        step = 0.37
+        n_max = max(self.SIZES)
+        # every point for the small chains; at N = 200, where one exact
+        # evaluation costs about 6 ms, every 16th point and the points
+        # around each block boundary
+        js = np.arange(n_max)
+        if N > 50:
+            edges = [j for b in range(0, n_max, self.B) for j in (b - 1, b, b + 1)]
+            js = np.union1d(js[::16], [j for j in edges if 0 <= j < n_max] + [n_max - 1])
+        ref = np.array([average_fidelity_exact(spec, t0 + j * step, sd).value for j in js])
+        for n in self.SIZES:
+            grid = fidelity_grid(sd.eigenvalues, products, t0, step, n)
+            assert grid.shape == (n,)
+            keep = js < n
+            np.testing.assert_allclose(grid[js[keep]], ref[keep], rtol=0.0, atol=1e-12)
+
+    def test_empty_grid_rejected(self):
+        spec = ChainSpec(N=10, h=5.0)
+        sd = diagonalize(build_single_particle(spec))
+        with pytest.raises(ValueError):
+            fidelity_grid(sd.eigenvalues, edge_products(spec, sd), 0.0, 0.1, 0)
 
 
 class TestApproximateAverage:

@@ -122,6 +122,21 @@ class TestFindTransferTime:
         t_star, fid = res
         assert (t_star, fid) == (res.t_star, res.fidelity)
 
+    @pytest.mark.parametrize(
+        "N, h, t_star, fidelity",
+        [
+            (29, 100.0, 1109.7846522122243, 0.8374365593761322),
+            (50, 200.0, 4420.235593872524, 0.9926410979368487),
+            (32, 1000.0, 15532.036231847127, 0.9823506962112981),
+            (46, 100.0, 15727.396400881948, 0.9894040398778821),
+        ],
+    )
+    def test_pinned_optimum(self, N, h, t_star, fidelity):
+        # pinned before the grid kernel was rewritten: t* must not move
+        res = find_transfer_time(ChainSpec(N=N, h=h))
+        assert res.t_star == pytest.approx(t_star, rel=1e-9, abs=0.0)
+        assert res.fidelity == pytest.approx(fidelity, rel=0.0, abs=1e-12)
+
     def test_reading_window_recurrences(self):
         # near-optimal readout times recur with the fast edge frequency,
         # giving several separated high-fidelity clusters around t*
