@@ -56,17 +56,26 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
     """Selected propagator rows over a whole time grid.
 
     Returns an array of shape (len(ts), len(sites), N) with entry
-    [i, j, m-1] = f_{sites[j]}^m(ts[i]).  Sites are 1-based.  Used for
-    vectorized scans where building full N x N matrices per point would be
-    wasteful.
+    [i, j, m-1] = f_{sites[j]}^m(ts[i]).  Sites are 1-based.  The rows are
+    one real matrix product: the weights exp(-i eps_k t) a_{k,s}, split
+    into real and imaginary parts and stacked, times the real eigenvector
+    matrix, so no N x N complex array is built.
     """
     a = sd.eigenvectors
+    N = a.shape[0]
+    for s in sites:
+        if not 1 <= s <= N:
+            raise ValueError(f"site {s} outside chain [1, {N}]")
     ts = np.asarray(ts, dtype=float)
-    phases = np.exp(-1j * np.outer(ts, sd.eigenvalues))  # (T, N)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"times must be finite, got {ts}")
     cols = [s - 1 for s in sites]
-    # f_s^m(t) = sum_k phases[t,k] * a[k,s] * a[k,m]
-    weighted = a[:, cols][:, :, None] * a[:, None, :]  # (N, S, N)
-    return np.tensordot(phases, weighted, axes=(1, 0))  # (T, S, N)
+    phases = np.exp(-1j * np.outer(ts, sd.eigenvalues))  # (T, N)
+    # f_s^m(t) = sum_k (phases[t,k] * a[k,s]) * a[k,m]
+    w = (phases[:, None, :] * a[:, cols].T).reshape(-1, N)  # (T*S, N)
+    rows = np.concatenate([w.real, w.imag]) @ a
+    n = w.shape[0]
+    return (rows[:n] + 1j * rows[n:]).reshape(len(ts), len(cols), N)
 
 
 def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:
@@ -84,19 +93,6 @@ def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:
     return complex(
         f[n - 1, r - 1] * f[m - 1, s - 1] - f[n - 1, s - 1] * f[m - 1, r - 1]
     )
-
-
-def two_particle_matrix(amp: AmplitudeSet, n: int, m: int) -> np.ndarray:
-    """Antisymmetric matrix G with G[r-1, s-1] = g_{nm}^{rs} for all targets.
-
-    G = u v^T - v u^T with u, v the propagator rows of the two source
-    sites; the upper triangle holds amplitudes for ordered target pairs.
-    """
-    if not n < m:
-        raise ValueError(f"source pair must be ordered: got ({n},{m})")
-    u = amp.f[n - 1, :]
-    v = amp.f[m - 1, :]
-    return np.outer(u, v) - np.outer(v, u)
 
 
 def channel_occupation(amp: AmplitudeSet, spec: ChainSpec) -> float:

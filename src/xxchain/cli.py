@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .amplitudes import channel_occupation, propagator, two_particle
+from .amplitudes import channel_occupation, propagator, propagator_rows, two_particle
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
     average_fidelity_approx,
@@ -53,7 +53,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_list(text, cast=float):
     parts = [p for chunk in str(text).split(",") for p in chunk.split()]
-    return [cast(p) for p in parts if p]
+    try:
+        return [cast(p) for p in parts if p]
+    except ValueError as exc:
+        raise CliError(f"cannot parse list {text!r}: {exc}")
+
+
+def _check_sites(spec: ChainSpec, sites, flag: str):
+    if not sites:
+        raise CliError(f"{flag} needs at least one site")
+    for s in sites:
+        if not 1 <= s <= spec.N:
+            raise CliError(f"{flag}: site {s} outside chain [1, {spec.N}]")
 
 
 def _load_config(path):
@@ -203,6 +214,7 @@ def _cmd_spectrum(args):
     sd = diagonalize(build_single_particle(spec))
     if args.sites:
         sites = _parse_list(args.sites, int)
+        _check_sites(spec, sites, "--sites")
     else:
         s1, s2 = spec.senders
         r1, r2 = spec.receivers
@@ -238,9 +250,13 @@ def _cmd_amplitudes(args):
     for e in f_entries:
         if len(e) != 2:
             raise CliError(f"--f expects 'n,m', got {e}")
+        _check_sites(spec, e, "--f")
     for e in g_entries:
         if len(e) != 4:
             raise CliError(f"--g expects 'n,m,r,s', got {e}")
+        _check_sites(spec, e, "--g")
+        if not (e[0] < e[1] and e[2] < e[3]):
+            raise CliError(f"--g expects ordered pairs n < m and r < s, got {e}")
     ts = _time_grid(args)
     columns = ["t"]
     for n, m in f_entries:
@@ -275,20 +291,14 @@ def _cmd_fidelity(args):
         ts = np.array([res.t_star])
     else:
         ts = _time_grid(args)
-    s1, s2 = spec.senders
     r1, r2 = spec.receivers
     columns = ["t", "F_exact", "F_approx", "F_mc_mean", "F_mc_stderr", "F_min"]
     rows = []
     for t in ts:
         t = float(t)
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        amp = propagator(sd, t)
-        try:
-            fa = average_fidelity_approx(
-                amp.entry(s1, r1), amp.entry(s1, r2), amp.entry(s2, r1)
-            )
-        except ValueError:
-            fa = float("nan")
+        w1, w2 = propagator_rows(sd, spec.senders, [t])[0]
+        fa = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
         mc_mean = mc_err = fmin = float("nan")
         if args.mc_samples:
             mc_mean, mc_err = haar_average_mc(
@@ -341,15 +351,9 @@ def _cmd_transfer_time(args):
     spec = _resolve_spec(args)
     sd = diagonalize(build_single_particle(spec))
     res = find_transfer_time(spec, sd)
-    amp = propagator(sd, res.t_star)
-    s1, s2 = spec.senders
+    w1, w2 = propagator_rows(sd, spec.senders, [res.t_star])[0]
     r1, r2 = spec.receivers
-    try:
-        fa = average_fidelity_approx(
-            amp.entry(s1, r1), amp.entry(s1, r2), amp.entry(s2, r1)
-        )
-    except ValueError:
-        fa = float("nan")
+    fa = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
     regime = classify_chain(spec.N)
     t1 = (
         transfer_time_estimate(spec.N, spec.h)

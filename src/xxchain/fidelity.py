@@ -12,8 +12,19 @@ Kraus operators K_c of that channel, Fbar = (1/20) sum_c (|Tr K_c|^2 +
 ||K_c||_F^2) and the Frobenius part sums to Tr(I_4) = 4.  The per-channel
 Frobenius weights give a physically labelled ten-term breakdown (returned
 alongside the value) whose leakage entries show where lost population
-went.  Every formula here is cross-validated against brute-force sector
-evolution and Monte-Carlo Haar sampling in the test suite.
+went.
+
+For the XX chain every one of these quantities, and the fidelity of any
+single input state, depends on the two sender rows w1 = f_{s1}^n(t) and
+w2 = f_{s2}^n(t) alone, since each two-excitation amplitude is a 2x2
+determinant of them.  The exact value, the Monte-Carlo average and the
+worst case therefore share one channel record built in O(N) from those
+rows (one real matrix product with the eigenvectors): no N x N propagator
+or two-excitation matrix is formed, and the probability that both
+excitations leak is the Lagrange identity ||u||^2 ||v||^2 - |<u, v>|^2
+instead of a sum over site pairs.  Every formula here is cross-validated
+against brute-force sector evolution, Nielsen's relation to the
+entanglement fidelity and Monte-Carlo Haar sampling in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .amplitudes import propagator, two_particle_matrix
+from .amplitudes import propagator_rows
 from .chain import ChainSpec, build_single_particle
 from .sector_oracle import TwoQubitState
 from .spectral import SpectralData, diagonalize
@@ -60,15 +71,24 @@ def _receiver_sites(spec: ChainSpec, receiver_order: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _ChannelData:
-    """Precomputed fast-path quantities for fidelity evaluation at one time.
+    """Fast-path quantities for fidelity evaluation at one time, built in O(N).
 
-    w1/w2 are the propagator rows of the sender sites; G the antisymmetric
-    two-excitation amplitude matrix from the sender pair; M the 4x4 Gram
-    matrix of the one-leaked-excitation channel vectors; pair_leak the
-    total probability of both excitations leaking outside the receivers.
+    w1/w2 are the propagator rows f_{s1}^n, f_{s2}^n of the sender sites.
+    Everything else follows from them, because the two-excitation amplitude
+    of the XX chain is the determinant g_{s1 s2}^{nm} = w1[n] w2[m] -
+    w2[n] w1[m] for n < m: g11 is that determinant at the ordered receiver
+    pair, and X_r[n] = sigma_r(n) (w1[n] w2[r] - w2[n] w1[r]), with
+    sigma_r(n) = +1 for n < r and -1 otherwise, is the amplitude of one
+    excitation on receiver r and the other on site n.  M is the 4x4 Gram
+    matrix B* B^T of the channel vectors B = (w2, w1, X2, X1) restricted to
+    the N - 2 non-receiver sites; its diagonal holds the single-leakage and
+    pair-edge probabilities.  pair_leak, the probability that both
+    excitations leak outside the receivers, is the sum of |g|^2 over
+    ordered pairs of those sites; by the Lagrange identity it equals
+    ||u||^2 ||v||^2 - |<u, v>|^2 for the restricted rows u, v, the
+    determinant of M's leading 2x2 block.
     """
 
-    N: int
     r1: int
     r2: int
     w1: np.ndarray
@@ -82,31 +102,22 @@ def _channel_data(
     spec: ChainSpec, t: float, sd: SpectralData | None = None, receiver_order: str = "12"
 ) -> _ChannelData:
     sd = _spectral_for(spec, sd)
-    amp = propagator(sd, t)
-    s1, s2 = spec.senders
     r1, r2 = _receiver_sites(spec, receiver_order)
-    w1 = amp.f[s1 - 1, :]
-    w2 = amp.f[s2 - 1, :]
-    G = two_particle_matrix(amp, s1, s2)
-    notR = [n for n in range(spec.N) if n + 1 not in (r1, r2)]
+    w1, w2 = propagator_rows(sd, spec.senders, [t])[0]
+    notR = np.ones(spec.N, dtype=bool)
+    notR[[r1 - 1, r2 - 1]] = False
+    sites = np.arange(1, spec.N + 1)
 
-    def ordered_g(n0, r):
-        a, b = min(n0, r - 1), max(n0, r - 1)
-        return G[a, b]
+    def leaked(r):
+        x = w1 * w2[r - 1] - w2 * w1[r - 1]
+        return np.where(sites < r, x, -x)[notR]
 
-    X1 = np.array([ordered_g(n, r1) for n in notR])
-    X2 = np.array([ordered_g(n, r2) for n in notR])
-    B = np.stack([w2[notR], w1[notR], X2, X1])
+    B = np.stack([w2[notR], w1[notR], leaked(r2), leaked(r1)])
     M = B.conj() @ B.T
-    iu = np.triu_indices(len(notR), k=1)
-    sub = G[np.ix_(notR, notR)]
-    pair_leak = float(np.sum(np.abs(sub[iu]) ** 2))
-    # amplitude for |11> readout: ordered receiver pair
-    a, b = min(r1, r2) - 1, max(r1, r2) - 1
-    g11 = G[a, b]
-    return _ChannelData(
-        N=spec.N, r1=r1, r2=r2, w1=w1, w2=w2, g11=complex(g11), M=M, pair_leak=pair_leak
-    )
+    pair_leak = max(0.0, float(np.real(M[0, 0] * M[1, 1]) - abs(M[0, 1]) ** 2))
+    a, b = sorted((r1, r2))
+    g11 = complex(w1[a - 1] * w2[b - 1] - w2[a - 1] * w1[b - 1])
+    return _ChannelData(r1=r1, r2=r2, w1=w1, w2=w2, g11=g11, M=M, pair_leak=pair_leak)
 
 
 def average_fidelity_exact(
@@ -122,23 +133,12 @@ def average_fidelity_exact(
     equivalent compact form.  At t = 0 with default geometry the value is
     exactly 1/4; a perfect mirror transfer gives 1.
     """
-    sd = _spectral_for(spec, sd)
-    amp = propagator(sd, t)
-    s1, s2 = spec.senders
-    r1, r2 = _receiver_sites(spec, receiver_order)
-    f = amp.f
-    f11 = complex(f[s1 - 1, r1 - 1])
-    f12 = complex(f[s1 - 1, r2 - 1])
-    f21 = complex(f[s2 - 1, r1 - 1])
-    f22 = complex(f[s2 - 1, r2 - 1])
     ch = _channel_data(spec, t, sd, receiver_order)
+    f11, f12 = complex(ch.w1[ch.r1 - 1]), complex(ch.w1[ch.r2 - 1])
+    f21, f22 = complex(ch.w2[ch.r1 - 1]), complex(ch.w2[ch.r2 - 1])
     g = ch.g11
-    notR = [n for n in range(spec.N) if n + 1 not in (r1, r2)]
-    single_leak_1 = float(np.sum(np.abs(ch.w1[notR]) ** 2))
-    single_leak_2 = float(np.sum(np.abs(ch.w2[notR]) ** 2))
-    # M diagonal entries: [w2, w1, X2, X1] channel-restricted norms
-    pair_edge_r2 = float(np.real(ch.M[2, 2]))
-    pair_edge_r1 = float(np.real(ch.M[3, 3]))
+    # direct sums over the non-receiver sites, not complements by unitarity
+    single_leak_2, single_leak_1, pair_edge_r2, pair_edge_r1 = np.diag(ch.M).real.tolist()
 
     terms = {
         "coherent_return": abs(1.0 + f11 + f22 + g) ** 2 / 20.0,
@@ -270,6 +270,15 @@ def _fidelity_samples(ch: _ChannelData, Z: np.ndarray) -> np.ndarray:
     return np.abs(T0) ** 2 + term2 + term3
 
 
+# Samples per _fidelity_samples call in haar_average_mc.  Temporaries over
+# all 10^5 samples (6.4 MB each) lie above glibc's mmap threshold unless the
+# process has freed a larger block before, and are then page-faulted afresh
+# on every call.  At N = 46, 10^5 samples, on one core of a 2-core x86 VM, a
+# call took 91 ms unblocked, 76 ms with 4096-sample blocks and 78 ms with
+# 16384.
+_MC_BLOCK = 4096
+
+
 def haar_average_mc(
     spec: ChainSpec,
     t: float,
@@ -290,7 +299,9 @@ def haar_average_mc(
     ch = _channel_data(spec, t, sd, receiver_order)
     Z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
     Z /= np.linalg.norm(Z, axis=1)[:, None]
-    F = _fidelity_samples(ch, Z)
+    F = np.concatenate(
+        [_fidelity_samples(ch, Z[i : i + _MC_BLOCK]) for i in range(0, samples, _MC_BLOCK)]
+    )
     mean = float(F.mean())
     stderr = float(F.std(ddof=1) / np.sqrt(samples))
     return mean, stderr

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .amplitudes import propagator
+from .amplitudes import propagator_rows
 from .chain import ChainSpec, build_single_particle
 from .fidelity import average_fidelity_approx, edge_products, fidelity_grid
 from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
@@ -335,12 +335,9 @@ def scan(base: ChainSpec, axis: str, values) -> list[ScanRecord]:
             spec = ChainSpec(N=N, h=h)
             sd = diagonalize(build_single_particle(spec))
             res = find_transfer_time(spec, sd)
-            amp = propagator(sd, res.t_star)
-            s1, s2 = spec.senders
+            w1, w2 = propagator_rows(sd, spec.senders, [res.t_star])[0]
             r1, r2 = spec.receivers
-            f_approx = average_fidelity_approx(
-                amp.entry(s1, r1), amp.entry(s1, r2), amp.entry(s2, r1)
-            )
+            f_approx = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
             regime = classify_chain(N)
             t1 = transfer_time_estimate(N, h) if regime == "rabi" else float("nan")
             records.append(

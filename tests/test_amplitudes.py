@@ -6,7 +6,6 @@ from xxchain.amplitudes import (
     propagator,
     propagator_rows,
     two_particle,
-    two_particle_matrix,
 )
 from xxchain.chain import ChainSpec, SymTridiag, build_single_particle
 from xxchain.perturbation import transfer_time_estimate
@@ -73,6 +72,14 @@ class TestPropagator:
         sd = diagonalize(SymTridiag((0.0, 0.0), (-1.0,)))
         with pytest.raises(ValueError):
             propagator(sd, np.inf)
+        with pytest.raises(ValueError):
+            propagator_rows(sd, [1], [0.0, np.nan])
+
+    @pytest.mark.parametrize("site", [0, 10, -1])
+    def test_rows_reject_sites_outside_chain(self, site):
+        sd = diagonalize(build_single_particle(ChainSpec(N=9, h=6.0)))
+        with pytest.raises(ValueError):
+            propagator_rows(sd, [1, site], [1.0])
 
 
 class TestTwoParticle:
@@ -96,11 +103,6 @@ class TestTwoParticle:
             two_particle(amp, 2, 1, 7, 8)
         with pytest.raises(ValueError):
             two_particle(amp, 1, 2, 8, 8)
-
-    def test_matrix_antisymmetric(self):
-        sd = diagonalize(build_single_particle(ChainSpec(N=8, h=5.0)))
-        G = two_particle_matrix(propagator(sd, 2.3), 1, 2)
-        assert np.max(np.abs(G + G.T)) < 1e-14
 
     def test_row_swap_flips_sign(self):
         # computing the determinant with source rows exchanged negates it

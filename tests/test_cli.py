@@ -51,6 +51,25 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplitudes", "--t", "100", "--f", "0,5"],
+            ["amplitudes", "--t", "100", "--f", "1,47"],
+            ["amplitudes", "--t", "100", "--f", "1,x"],
+            ["amplitudes", "--t", "100", "--g", "2,1,45,46"],
+            ["amplitudes", "--t", "100", "--g", "1,2,46,45"],
+            ["amplitudes", "--t", "100", "--g", "1,2,45,47"],
+            ["spectrum", "--sites", "0,1"],
+        ],
+        ids=["f-site-0", "f-site-N+1", "f-not-int", "g-source-unordered",
+             "g-target-unordered", "g-site-N+1", "sites-0"],
+    )
+    def test_bad_site_rejected(self, argv, outdir, capsys):
+        assert run(argv + ["--N", "46", "--h", "50"]) == 1
+        assert "error" in capsys.readouterr().err.lower()
+        assert not list(outdir.iterdir())
+
 
 class TestOutputs:
     def test_spectrum_csv_and_manifest(self, outdir):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _GRID_BLOCK,
+    _MC_BLOCK,
     _channel_data,
     _fidelity_samples,
     average_fidelity_approx,
@@ -15,8 +18,20 @@ from xxchain.fidelity import (
     worst_case_fidelity,
 )
 from xxchain.protocol import find_transfer_time
-from xxchain.sector_oracle import TwoQubitState, state_fidelity
+from xxchain.sector_oracle import TwoQubitState, _receiver_vectors, evolve, state_fidelity
 from xxchain.spectral import diagonalize
+
+# (spec, receiver order): the default geometry, receivers inside the chain
+# with sites beyond both of them, senders between the receivers, and the
+# mirrored receiver assignment
+GEOMETRIES = [
+    pytest.param(ChainSpec(N=7, h=3.0), "12", id="default"),
+    pytest.param(ChainSpec(N=8, h=3.0, receivers=(4, 7)), "12", id="N8-r47"),
+    pytest.param(
+        ChainSpec(N=10, h=5.0, senders=(4, 5), receivers=(2, 8)), "12", id="N10-s45-r28"
+    ),
+    pytest.param(ChainSpec(N=7, h=3.0), "21", id="order21"),
+]
 
 
 class TestExactAverage:
@@ -42,6 +57,39 @@ class TestExactAverage:
 
     def test_perfect_transfer_override(self):
         assert fidelity_from_edge_amplitudes(1.0, 1.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("spec, order", GEOMETRIES)
+    def test_nielsen_relation(self, spec, order):
+        # Fbar = (d F_e + 1) / (d + 1) with d = 4 (Nielsen, Phys. Lett. A
+        # 303, 249, 2002), where the entanglement fidelity F_e =
+        # (1/d^2) sum_c |Tr K_c|^2 comes from the dense sector oracle alone:
+        # column i of the Kraus operator K_c is the receiver vector of
+        # channel configuration c for the input basis state |i>
+        t = 2.3
+        columns = [
+            _receiver_vectors(spec, evolve(spec, TwoQubitState.from_vector(e), t), order)
+            for e in np.eye(4)
+        ]
+        configs = set().union(*columns)
+        zero = np.zeros(4)
+        traces = [sum(columns[i].get(c, zero)[i] for i in range(4)) for c in configs]
+        F_e = sum(abs(tr) ** 2 for tr in traces) / 16.0
+        bd = average_fidelity_exact(spec, t, receiver_order=order)
+        assert abs(bd.value - (4.0 * F_e + 1.0) / 5.0) < 1e-12
+
+    def test_memory_is_linear_in_chain_length(self):
+        # the channel is built from the two sender rows: at N = 1000 one
+        # real N x N matrix would take 8 MB
+        spec = ChainSpec(N=1000, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        average_fidelity_exact(spec, 1234.5, sd)
+        tracemalloc.start()
+        try:
+            average_fidelity_exact(spec, 1234.5, sd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
     def test_range(self):
         spec = ChainSpec(N=9, h=2.0)
@@ -79,19 +127,13 @@ class TestFidelityGrid:
         products = edge_products(spec, sd)
         step = 0.37
         n_max = max(self.SIZES)
-        # every point for the small chains; at N = 200, where one exact
-        # evaluation costs about 6 ms, every 16th point and the points
-        # around each block boundary
-        js = np.arange(n_max)
-        if N > 50:
-            edges = [j for b in range(0, n_max, self.B) for j in (b - 1, b, b + 1)]
-            js = np.union1d(js[::16], [j for j in edges if 0 <= j < n_max] + [n_max - 1])
-        ref = np.array([average_fidelity_exact(spec, t0 + j * step, sd).value for j in js])
+        ref = np.array(
+            [average_fidelity_exact(spec, t0 + j * step, sd).value for j in range(n_max)]
+        )
         for n in self.SIZES:
             grid = fidelity_grid(sd.eigenvalues, products, t0, step, n)
             assert grid.shape == (n,)
-            keep = js < n
-            np.testing.assert_allclose(grid[js[keep]], ref[keep], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(grid, ref[:n], rtol=0.0, atol=1e-12)
 
     def test_empty_grid_rejected(self):
         spec = ChainSpec(N=10, h=5.0)
@@ -141,22 +183,34 @@ class TestMonteCarlo:
         b = haar_average_mc(spec, 2.0, 1000, seed=7)
         assert a == b
 
+    def test_blocks_cover_every_sample(self):
+        # blocked evaluation returns what one pass over all samples does
+        spec = ChainSpec(N=8, h=4.0)
+        samples = 2 * _MC_BLOCK + 37
+        rng = np.random.default_rng(9)
+        Z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
+        Z /= np.linalg.norm(Z, axis=1)[:, None]
+        F = _fidelity_samples(_channel_data(spec, 2.0), Z)
+        mean, err = haar_average_mc(spec, 2.0, samples, seed=9)
+        assert mean == pytest.approx(F.mean(), rel=0.0, abs=1e-15)
+        assert err == pytest.approx(F.std(ddof=1) / np.sqrt(samples), rel=1e-12)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             haar_average_mc(ChainSpec(N=8), 1.0, 50, seed=0)
 
-    def test_fast_path_matches_oracle_per_sample(self):
+    @pytest.mark.parametrize("spec, order", GEOMETRIES)
+    def test_fast_path_matches_oracle_per_sample(self, spec, order):
         # the vectorized sampler must agree with the brute-force sector
         # fidelity state by state, not just on average
-        spec = ChainSpec(N=7, h=3.0)
         t = 2.3
-        ch = _channel_data(spec, t)
+        ch = _channel_data(spec, t, receiver_order=order)
         rng = np.random.default_rng(12)
         for _ in range(25):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             z /= np.linalg.norm(z)
             fast = _fidelity_samples(ch, z[None, :])[0]
-            slow = state_fidelity(spec, TwoQubitState.from_vector(z), t)
+            slow = state_fidelity(spec, TwoQubitState.from_vector(z), t, order)
             assert abs(fast - slow) < 1e-12
 
     def test_fixed_input_beats_mean_at_zero(self):
