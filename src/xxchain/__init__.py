@@ -34,6 +34,7 @@ from .sector_oracle import (
 )
 from .fidelity import (
     FidelityBreakdown,
+    WorstCaseBudgetWarning,
     average_fidelity_approx,
     average_fidelity_exact,
     fidelity_from_edge_amplitudes,

@@ -95,16 +95,15 @@ def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:
     )
 
 
-def channel_occupation(amp: AmplitudeSet, spec: ChainSpec) -> float:
+def channel_occupation(rows: np.ndarray, spec: ChainSpec) -> np.ndarray | float:
     """Total excitation probability on the interior channel sites 3..N-2.
 
-    Returns sum over channel sites of |f_{s1}^n|^2 + |f_{s2}^n|^2, a number
-    in [0, 2]; in the Rabi regime it stays O(1/h) at all times, while at
-    N = 3n - 1 the extended states let real population enter the channel.
+    rows holds the sender rows f_{s1}^n, f_{s2}^n along its last two axes,
+    as propagator_rows(sd, spec.senders, ts) returns them (one time:
+    shape (2, N); a grid: (T, 2, N)).  Returns sum over channel sites of
+    |f_{s1}^n|^2 + |f_{s2}^n|^2 per time, a number in [0, 2]; in the Rabi
+    regime it stays O(1/h) at all times, while at N = 3n - 1 the extended
+    states let real population enter the channel.
     """
-    s1, s2 = spec.senders
     cols = [n - 1 for n in spec.channel_sites]
-    f = amp.f
-    return float(
-        np.sum(np.abs(f[s1 - 1, cols]) ** 2) + np.sum(np.abs(f[s2 - 1, cols]) ** 2)
-    )
+    return np.sum(np.abs(rows[..., cols]) ** 2, axis=-1).sum(axis=-1)

@@ -243,31 +243,76 @@ def average_fidelity_approx(f11: complex, f1N: complex, f2N1: complex) -> float:
     )
 
 
+# Pairs (a, b) of the products conj(z_a) z_b that carry the incoherent part
+# of the state fidelity: alpha* beta, alpha* gamma, beta* delta, gamma* delta
+# (the Gram rows of _ChannelData.M) and alpha* delta (the pair leakage).
+_LEAK_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3))
+
+
+def _state_forms(ch: _ChannelData) -> tuple[np.ndarray, np.ndarray]:
+    """The state fidelity at one time as a Hermitian quartic form.
+
+    For an input z = (alpha, beta, gamma, delta) the fidelity is
+
+        F(z) = sum_jk conj(q_j) K_jk q_k,    q_j = z^H E_j z,
+
+    with q_0 = T0 the overlap of the input with the transferred state
+    (vacuum plus the two one-excitation and the pair amplitudes at the
+    receivers), q_1..q_5 the products of _LEAK_PAIRS, and K the
+    block-diagonal matrix of 1, M and pair_leak.  Returns (E, K) of shapes
+    (6, 4, 4) and (6, 6).
+    """
+    r1, r2 = ch.r1 - 1, ch.r2 - 1
+    E = np.zeros((6, 4, 4), dtype=complex)
+    E[0, 0, 0] = 1.0
+    E[0, 1, 1:3] = ch.w2[r2], ch.w1[r2]
+    E[0, 2, 1:3] = ch.w2[r1], ch.w1[r1]
+    E[0, 3, 3] = ch.g11
+    for j, (a, b) in enumerate(_LEAK_PAIRS, start=1):
+        E[j, a, b] = 1.0
+    K = np.zeros((6, 6), dtype=complex)
+    K[0, 0] = 1.0
+    K[1:5, 1:5] = ch.M
+    K[5, 5] = ch.pair_leak
+    return E, K
+
+
+def _quartic(forms: tuple[np.ndarray, np.ndarray], Z: np.ndarray):
+    """F(z) of _state_forms for each row of Z, with E_j z and u = K q.
+
+    Returns (F, EZ, u) with EZ[s, j] = E_j z_s and u[s] = K q(z_s); the
+    gradient reads the last two.
+    """
+    E, K = forms
+    EZ = (Z @ E.reshape(24, 4).T).reshape(len(Z), 6, 4)
+    q = np.einsum("sja,sa->sj", EZ, Z.conj())
+    u = q @ K.T
+    return np.einsum("sj,sj->s", q.conj(), u).real, EZ, u
+
+
 def _fidelity_samples(ch: _ChannelData, Z: np.ndarray) -> np.ndarray:
     """Vectorized state fidelity for an array of normalized input states.
 
     Z has shape (S, 4) holding (alpha, beta, gamma, delta) rows.  Agrees
     with sector_oracle.state_fidelity sample by sample to roundoff; used by
-    the Monte-Carlo average and the worst-case minimizer.
+    the Monte-Carlo average and the worst case's certification sample.
     """
-    al, be, ga, de = Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3]
-    r1, r2 = ch.r1 - 1, ch.r2 - 1
-    a01 = be * ch.w2[r2] + ga * ch.w1[r2]
-    a10 = be * ch.w2[r1] + ga * ch.w1[r1]
-    a11 = de * ch.g11
-    T0 = (
-        np.abs(al) ** 2
-        + np.conj(be) * a01
-        + np.conj(ga) * a10
-        + np.conj(de) * a11
-    )
-    C = np.stack(
-        [np.conj(al) * be, np.conj(al) * ga, np.conj(be) * de, np.conj(ga) * de],
-        axis=1,
-    )
-    term2 = np.real(np.einsum("si,ij,sj->s", C.conj(), ch.M, C))
-    term3 = (np.abs(al) * np.abs(de)) ** 2 * ch.pair_leak
-    return np.abs(T0) ** 2 + term2 + term3
+    return _quartic(_state_forms(ch), Z)[0]
+
+
+def _fidelity_and_gradient(forms, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """State fidelity and its Wirtinger gradient dF/d conj(z) per row of Z.
+
+    Each q_j = z^H E_j z gives dq_j/d conj(z) = E_j z and d conj(q_j)/d
+    conj(z) = E_j^H z, so dF/d conj(z) = sum_j (u_j E_j^H z + conj(u_j)
+    E_j z) with u = K q.  For real coordinates z = x + iy the gradient is
+    (dF/dx, dF/dy) = 2 (Re, Im) of it.
+    """
+    E = forms[0]
+    F, EZ, u = _quartic(forms, Z)
+    EHZ = (Z @ E.conj().transpose(0, 2, 1).reshape(24, 4).T).reshape(len(Z), 6, 4)
+    grad = np.einsum("sj,sja->sa", u, EHZ) + np.einsum("sj,sja->sa", u.conj(), EZ)
+    return F, grad
 
 
 # Samples per _fidelity_samples call in haar_average_mc.  Temporaries over
@@ -275,8 +320,11 @@ def _fidelity_samples(ch: _ChannelData, Z: np.ndarray) -> np.ndarray:
 # process has freed a larger block before, and are then page-faulted afresh
 # on every call.  At N = 46, 10^5 samples, on one core of a 2-core x86 VM, a
 # call took 91 ms unblocked, 76 ms with 4096-sample blocks and 78 ms with
-# 16384.
-_MC_BLOCK = 4096
+# 16384.  _quartic's largest temporary holds 24 complex numbers per sample:
+# with 2048-sample blocks a 20000-sample call raises the peak RSS by 4.3 MB,
+# as much as the earlier per-component code did with 4096, against 5.8 MB
+# with 4096; 1024-8192 took the same time within the VM's noise.
+_MC_BLOCK = 2048
 
 
 def haar_average_mc(
@@ -307,6 +355,26 @@ def haar_average_mc(
     return mean, stderr
 
 
+def _sphere_objective(x: np.ndarray, forms) -> tuple[float, np.ndarray]:
+    """F(z / |z|) = F(z) / |z|^4 and its gradient in the coordinates x.
+
+    x holds (Re z, Im z).  With F and g = dF/d conj(z) taken at the unit
+    state z / |z| = x / |x|, the gradient is (2 (Re g, Im g) - 4 F x / |x|)
+    / |x|; it is orthogonal to x, since F / |z|^4 does not change along it.
+    """
+    z = x[:4] + 1j * x[4:]
+    nrm = np.linalg.norm(z)
+    if nrm < 1e-9:
+        return 1.0, np.zeros(8)
+    F, g = _fidelity_and_gradient(forms, (z / nrm)[None, :])
+    grad = (2.0 * np.concatenate([g[0].real, g[0].imag]) - 4.0 * F[0] * x / nrm) / nrm
+    return float(F[0]), grad
+
+
+class WorstCaseBudgetWarning(RuntimeWarning):
+    """worst_case_fidelity could not certify its minimum."""
+
+
 def worst_case_fidelity(
     spec: ChainSpec,
     t: float,
@@ -317,21 +385,22 @@ def worst_case_fidelity(
 ) -> tuple[TwoQubitState, float]:
     """Minimize the state fidelity over all pure two-qubit inputs.
 
-    Derivative-free Nelder-Mead search over the 8 real state coordinates
-    (normalization and global phase are quotiented out inside the
-    objective) from seeded random restarts, polished from the worst of a
-    10^4-point Haar sample so the result is certified to sit at or below
-    that empirical minimum.  Returns (worst state, minimal fidelity).
+    Quasi-Newton (L-BFGS-B) search over the 8 real state coordinates,
+    driven by the exact value and gradient of the quartic form of
+    _state_forms.  Normalization and global phase drop out of the
+    objective F(z / |z|) = F(z) / |z|^4.  The search runs from the
+    worst of a 10^4-point Haar sample and from `restarts` seeded Gaussian
+    starts, so the result is certified to sit at or below that empirical
+    minimum.  When it does not, or when the search that found the best value
+    stopped without converging above that minimum, a WorstCaseBudgetWarning
+    (a RuntimeWarning) says the search exceeded its budget, and the lower
+    of the two minima is returned with its state.
+    Returns (worst state, minimal fidelity); the state's fidelity is the
+    returned value.
     """
     ch = _channel_data(spec, t, sd, receiver_order)
+    forms = _state_forms(ch)
     rng = np.random.default_rng(seed)
-
-    def objective(x):
-        z = x[:4] + 1j * x[4:]
-        nrm = np.linalg.norm(z)
-        if nrm < 1e-9:
-            return 1.0
-        return float(_fidelity_samples(ch, (z / nrm)[None, :])[0])
 
     # certification sample: the optimum must not sit above the empirical min
     Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
@@ -342,26 +411,29 @@ def worst_case_fidelity(
     starts += [rng.normal(size=8) for _ in range(restarts)]
 
     best_val = np.inf
-    best_x = starts[0]
+    best_z = Z[k]
     exhausted = False
+    # ftol and gtol sit near roundoff, so each search stops at its local
+    # minimum to about 1e-16 in F, after a few dozen iterations at most
     for x0 in starts:
         res = minimize(
-            objective,
+            _sphere_objective,
             x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-9, "xatol": 1e-9, "maxiter": 5000, "maxfev": 8000},
+            args=(forms,),
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000},
         )
         if res.fun < best_val:
             best_val = float(res.fun)
-            best_x = res.x
+            best_z = res.x[:4] + 1j * res.x[4:]
         if not res.success and res.fun <= best_val + 1e-12:
             exhausted = True
     if best_val > float(Fs[k]) + 1e-12 or (exhausted and best_val > float(Fs[k])):
         warnings.warn(
             "worst-case search exceeded its budget; returning best value found",
-            RuntimeWarning,
+            WorstCaseBudgetWarning,
         )
-        best_val = min(best_val, float(Fs[k]))
-    z = best_x[:4] + 1j * best_x[4:]
-    state = TwoQubitState.from_vector(z)
-    return state, float(best_val)
+        if Fs[k] < best_val:
+            best_val, best_z = float(Fs[k]), Z[k]
+    return TwoQubitState.from_vector(best_z), float(best_val)

@@ -117,24 +117,32 @@ class TestTwoParticle:
 class TestChannelOccupation:
     def test_zero_at_start(self):
         spec = ChainSpec(N=10, h=4.0)
-        amp = propagator(diagonalize(build_single_particle(spec)), 0.0)
-        assert channel_occupation(amp, spec) < 1e-12
+        sd = diagonalize(build_single_particle(spec))
+        assert channel_occupation(propagator_rows(sd, spec.senders, [0.0])[0], spec) < 1e-12
 
     def test_range(self):
         spec = ChainSpec(N=10, h=4.0)
         sd = diagonalize(build_single_particle(spec))
-        for t in (0.5, 2.0, 11.0):
-            occ = channel_occupation(propagator(sd, t), spec)
-            assert 0.0 <= occ <= 2.0
+        occ = channel_occupation(propagator_rows(sd, spec.senders, [0.5, 2.0, 11.0]), spec)
+        assert occ.shape == (3,)
+        assert np.all((0.0 <= occ) & (occ <= 2.0))
+
+    def test_rows_match_full_propagator(self):
+        spec = ChainSpec(N=10, h=4.0, senders=(4, 5), receivers=(2, 8))
+        sd = diagonalize(build_single_particle(spec))
+        ts = [0.5, 2.0, 11.0]
+        occ = channel_occupation(propagator_rows(sd, spec.senders, ts), spec)
+        for t, value in zip(ts, occ):
+            f = propagator(sd, t).f
+            ref = sum(abs(f[s - 1, n - 1]) ** 2 for s in (4, 5) for n in spec.channel_sites)
+            assert abs(value - ref) < 1e-12
 
     @staticmethod
     def _max_occ(N, h, tmax, npts=400):
         spec = ChainSpec(N=N, h=h)
         sd = diagonalize(build_single_particle(spec))
-        return max(
-            channel_occupation(propagator(sd, t), spec)
-            for t in np.linspace(0.0, tmax, npts)
-        )
+        rows = propagator_rows(sd, spec.senders, np.linspace(0.0, tmax, npts))
+        return float(np.max(channel_occupation(rows, spec)))
 
     def test_scaling_with_field(self):
         # occupation is O(1/h) in the Rabi regime: doubling h should

@@ -1,10 +1,17 @@
 import json
 import os
 
+import warnings
+
 import numpy as np
 import pytest
 
+import xxchain.cli as cli_module
+from xxchain.amplitudes import propagator, two_particle
+from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
+from xxchain.fidelity import WorstCaseBudgetWarning
+from xxchain.spectral import diagonalize
 
 
 def read_csv(path):
@@ -71,6 +78,28 @@ class TestExitCodes:
         assert not list(outdir.iterdir())
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--t", "1.0", "--mc-samples", "50"],
+            ["--t", "1.0", "--mc-samples", "0"],
+            ["--t", "1e400"],
+            ["--t", "nan"],
+            ["--t0", "-inf"],
+            ["--t1", "1e400", "--steps", "3"],
+        ],
+        ids=["mc-50", "mc-0", "t-overflow", "t-nan", "t0-inf", "t1-overflow"],
+    )
+    def test_bad_fidelity_input_rejected(self, argv, outdir, capsys):
+        assert run(["fidelity", "--N", "8", "--h", "3", "--seed", "1"] + argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    def test_nonfinite_amplitudes_time_rejected(self, outdir, capsys):
+        assert run(["amplitudes", "--N", "8", "--t", "1e400"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_spectrum_csv_and_manifest(self, outdir):
         assert run(["spectrum", "--N", "10", "--h", "20"]) == 0
@@ -105,6 +134,29 @@ class TestOutputs:
         assert len(rows) == 5
         assert any("re_f_1_7" in c for c in header)
         assert any("g_12_78" in c for c in header)
+
+    def test_amplitudes_match_full_propagator(self, outdir, monkeypatch):
+        # a few time points per chunk, so the grid spans several chunks
+        monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", 3 * 3 * 10)
+        argv = ["amplitudes", "--N", "10", "--h", "4", "--f", "3,9", "--f", "10,1",
+                "--g", "1,2,9,10", "--g", "2,5,3,7", "--t0", "0", "--t1", "30",
+                "--steps", "11"]
+        assert run(argv) == 0
+        _, header, rows = read_csv(outdir / "amplitudes.csv")
+        assert [float(r[0]) for r in rows] == pytest.approx(np.linspace(0.0, 30.0, 11))
+        spec = ChainSpec(N=10, h=4.0)
+        sd = diagonalize(build_single_particle(spec))
+        cols = spec.channel_sites
+        for row in rows:
+            values = dict(zip(header, map(float, row)))
+            amp = propagator(sd, values["t"])
+            expect = {"f_3_9": amp.entry(3, 9), "f_10_1": amp.entry(10, 1),
+                      "g_12_910": two_particle(amp, 1, 2, 9, 10),
+                      "g_25_37": two_particle(amp, 2, 5, 3, 7)}
+            for name, z in expect.items():
+                assert abs(complex(values["re_" + name], values["im_" + name]) - z) < 1e-10
+            occupation = sum(abs(amp.entry(s, n)) ** 2 for s in (1, 2) for n in cols)
+            assert abs(values["channel_occupation"] - occupation) < 1e-10
 
     def test_fidelity_json_format(self, outdir):
         assert run([
@@ -153,6 +205,36 @@ class TestConfigAndDeterminism:
         assert run(args + ["-o", str(outdir / "a.csv")]) == 0
         assert run(args + ["-o", str(outdir / "b.csv")]) == 0
         assert (outdir / "a.csv").read_bytes() == (outdir / "b.csv").read_bytes()
+
+    def test_seeded_worst_case_byte_identical(self, outdir):
+        args = ["fidelity", "--N", "8", "--h", "4", "--t", "2.0", "--worst-case",
+                "--seed", "42"]
+        assert run(args + ["-o", str(outdir / "a.csv")]) == 0
+        assert run(args + ["-o", str(outdir / "b.csv")]) == 0
+        assert (outdir / "a.csv").read_bytes() == (outdir / "b.csv").read_bytes()
+        _, header, rows = read_csv(outdir / "a.csv")
+        row = dict(zip(header, map(float, rows[0])))
+        assert 0.0 <= row["F_min"] <= row["F_exact"]
+        manifest = json.loads((outdir / "a.csv.manifest.json").read_text())
+        assert manifest["diagnostics"]["worst_case_certified"] == [True]
+
+    def test_uncertified_worst_case_in_manifest(self, outdir, monkeypatch):
+        # the first row's search is certified, the second's is not; the
+        # warning still reaches the caller
+        calls = []
+
+        def half_certified(spec, t, **kwargs):
+            calls.append(t)
+            if len(calls) == 2:
+                warnings.warn("worst-case search exceeded its budget", WorstCaseBudgetWarning)
+            return None, 0.0
+
+        monkeypatch.setattr(cli_module, "worst_case_fidelity", half_certified)
+        with pytest.warns(WorstCaseBudgetWarning, match="budget"):
+            assert run(["fidelity", "--N", "8", "--h", "4", "--t0", "1", "--t1", "2",
+                        "--steps", "2", "--worst-case", "--seed", "1"]) == 0
+        manifest = json.loads((outdir / "fidelity.csv.manifest.json").read_text())
+        assert manifest["diagnostics"]["worst_case_certified"] == [True, False]
 
     def test_receiver_order_changes_nothing_for_symmetric_average(self, outdir):
         base = ["fidelity", "--N", "8", "--h", "4", "--t", "2.0"]

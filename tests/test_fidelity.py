@@ -2,13 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import xxchain.fidelity as fidelity_module
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _GRID_BLOCK,
     _MC_BLOCK,
+    WorstCaseBudgetWarning,
     _channel_data,
     _fidelity_samples,
+    _sphere_objective,
+    _state_forms,
     average_fidelity_approx,
     average_fidelity_exact,
     edge_products,
@@ -246,3 +251,48 @@ class TestWorstCase:
         Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
         Z /= np.linalg.norm(Z, axis=1)[:, None]
         assert fmin <= np.min(_fidelity_samples(ch, Z)) + 1e-12
+
+    def test_pinned_minimum(self):
+        # the value the derivative-free Nelder-Mead search found on the
+        # same starts
+        _, fmin = worst_case_fidelity(ChainSpec(N=8, h=6.0), 4.4, restarts=8, seed=6)
+        assert abs(fmin - 0.002270399628) < 1e-9
+
+    @pytest.mark.parametrize("spec, order", GEOMETRIES)
+    def test_returned_state_has_returned_value(self, spec, order):
+        t = 2.3
+        state, fmin = worst_case_fidelity(spec, t, restarts=4, seed=3, receiver_order=order)
+        assert abs(state_fidelity(spec, state, t, order) - fmin) < 1e-10
+
+    def test_budget_fallback_returns_sample_state(self, monkeypatch):
+        # a search that ends above the Haar sample's minimum falls back to
+        # that sample state, and the state returned must be it
+        def stalled(fun, x0, args, **kwargs):
+            x = np.roll(x0, 3)
+            return OptimizeResult(x=x, fun=1.0, success=False)
+
+        monkeypatch.setattr(fidelity_module, "minimize", stalled)
+        spec, t = ChainSpec(N=8, h=6.0), 4.4
+        with pytest.warns(WorstCaseBudgetWarning, match="budget"):
+            state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
+        ch = _channel_data(spec, t)
+        rng = np.random.default_rng(6)
+        Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
+        Z /= np.linalg.norm(Z, axis=1)[:, None]
+        assert fmin == pytest.approx(np.min(_fidelity_samples(ch, Z)), abs=1e-15)
+        assert abs(state_fidelity(spec, state, t) - fmin) < 1e-10
+
+    @pytest.mark.parametrize("spec, order", GEOMETRIES)
+    def test_gradient_matches_central_differences(self, spec, order):
+        forms = _state_forms(_channel_data(spec, 2.3, receiver_order=order))
+        rng = np.random.default_rng(21)
+        step = 1e-6
+        for _ in range(5):
+            x = rng.normal(size=8)
+            _, grad = _sphere_objective(x, forms)
+            fd = np.array([
+                (_sphere_objective(x + step * e, forms)[0]
+                 - _sphere_objective(x - step * e, forms)[0]) / (2.0 * step)
+                for e in np.eye(8)
+            ])
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
