@@ -41,15 +41,10 @@ class AmplitudeSet:
 def propagator(sd: SpectralData, t: float) -> AmplitudeSet:
     """Evolve for time t in the one-excitation sector.
 
-    f_n^m = sum_k exp(-i eps_k t) a_{kn} a_{km}, computed directly from the
-    eigendecomposition.
+    f_n^m = sum_k exp(-i eps_k t) a_{kn} a_{km}: every row of
+    propagator_rows at the single time t.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    a = sd.eigenvectors
-    phase = np.exp(-1j * sd.eigenvalues * t)
-    f = a.T @ (phase[:, None] * a)
-    return AmplitudeSet(t=float(t), f=f)
+    return AmplitudeSet(t=float(t), f=propagator_rows(sd, range(1, sd.n + 1), [t])[0])
 
 
 def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
@@ -59,7 +54,7 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
     [i, j, m-1] = f_{sites[j]}^m(ts[i]).  Sites are 1-based.  The rows are
     one real matrix product: the weights exp(-i eps_k t) a_{k,s}, split
     into real and imaginary parts and stacked, times the real eigenvector
-    matrix, so no N x N complex array is built.
+    matrix, so no complex matrix product is formed.
     """
     a = sd.eigenvectors
     N = a.shape[0]
@@ -71,11 +66,16 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
         raise ValueError(f"times must be finite, got {ts}")
     cols = [s - 1 for s in sites]
     phases = np.exp(-1j * np.outer(ts, sd.eigenvalues))  # (T, N)
-    # f_s^m(t) = sum_k (phases[t,k] * a[k,s]) * a[k,m]
-    w = (phases[:, None, :] * a[:, cols].T).reshape(-1, N)  # (T*S, N)
-    rows = np.concatenate([w.real, w.imag]) @ a
-    n = w.shape[0]
-    return (rows[:n] + 1j * rows[n:]).reshape(len(ts), len(cols), N)
+    # f_s^m(t) = sum_k (phases[t,k] * a[k,s]) * a[k,m]: the real, then the
+    # imaginary parts of the weights, of shape (2, T, S, N), times a; the
+    # weights are freed before the complex result is allocated
+    w = np.stack([phases.real, phases.imag])[:, :, None, :] * a[:, cols].T
+    rows = w.reshape(-1, N) @ a
+    del w
+    n = len(rows) // 2
+    f = np.empty((n, N), dtype=complex)
+    f.real, f.imag = rows[:n], rows[n:]
+    return f.reshape(len(ts), len(cols), N)
 
 
 def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:

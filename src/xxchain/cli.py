@@ -25,6 +25,7 @@ from .fidelity import (
     WorstCaseBudgetWarning,
     average_fidelity_approx,
     average_fidelity_exact,
+    edge_products,
     haar_average_mc,
     worst_case_fidelity,
 )
@@ -317,15 +318,16 @@ def _cmd_fidelity(args):
         ts = np.array([res.t_star])
     else:
         ts = _time_grid(args)
-    r1, r2 = spec.receivers
+    # F_approx reads the spec's receiver order, whatever --receiver-order
+    products = edge_products(spec, sd)
     columns = ["t", "F_exact", "F_approx", "F_mc_mean", "F_mc_stderr", "F_min"]
     rows = []
     certified = []
     for t in ts:
         t = float(t)
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        w1, w2 = propagator_rows(sd, spec.senders, [t])[0]
-        fa = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
+        f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * t) @ products
+        fa = average_fidelity_approx(f11, f12, f21)
         mc_mean = mc_err = fmin = float("nan")
         if args.mc_samples:
             mc_mean, mc_err = haar_average_mc(
@@ -387,9 +389,9 @@ def _cmd_transfer_time(args):
     spec = _resolve_spec(args)
     sd = diagonalize(build_single_particle(spec))
     res = find_transfer_time(spec, sd)
-    w1, w2 = propagator_rows(sd, spec.senders, [res.t_star])[0]
-    r1, r2 = spec.receivers
-    fa = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
+    products = edge_products(spec, sd)
+    f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * res.t_star) @ products
+    fa = average_fidelity_approx(f11, f12, f21)
     regime = classify_chain(spec.N)
     t1 = (
         transfer_time_estimate(spec.N, spec.h)

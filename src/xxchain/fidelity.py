@@ -22,9 +22,19 @@ worst case therefore share one channel record built in O(N) from those
 rows (one real matrix product with the eigenvectors): no N x N propagator
 or two-excitation matrix is formed, and the probability that both
 excitations leak is the Lagrange identity ||u||^2 ||v||^2 - |<u, v>|^2
-instead of a sum over site pairs.  Every formula here is cross-validated
-against brute-force sector evolution, Nielsen's relation to the
-entanglement fidelity and Monte-Carlo Haar sampling in the test suite.
+instead of a sum over site pairs.
+
+The fidelity of one input state is a quartic form in its four amplitudes.
+_state_forms writes it as a sum of squares of 12 real linear forms in the
+32 quadratic monomials of the state's real coordinates, and _quartic, the
+one copy of that expression, evaluates it divided by |z|^4 for a block of
+unnormalized states z.  The Monte-Carlo average, the worst case's
+certification sample and its L-BFGS search with the exact gradient all
+call it; Monte-Carlo reads its Haar states straight from the seeded
+Gaussian draws, without a complex or normalized copy.  Every formula here
+is cross-validated against brute-force sector evolution, Nielsen's relation
+to the entanglement fidelity and Monte-Carlo Haar sampling in the test
+suite.
 """
 
 from __future__ import annotations
@@ -243,88 +253,122 @@ def average_fidelity_approx(f11: complex, f1N: complex, f2N1: complex) -> float:
     )
 
 
+# The state fidelity is a quadratic form in the products m = u_i u_j of the
+# 8 real coordinates u = (Re z, Im z) of an input z = (alpha, beta, gamma,
+# delta): the 8 squares first, whose sum is |z|^2, then the 24 products with
+# i < j other than Re z_a Im z_a, which never enters since conj(z_a) z_a is
+# real.
+_MONOMIALS = tuple(
+    np.array(ix)
+    for ix in zip(
+        *[(i, i) for i in range(8)]
+        + [(i, j) for i in range(8) for j in range(i + 1, 8) if j != i + 4]
+    )
+)
 # Pairs (a, b) of the products conj(z_a) z_b that carry the incoherent part
 # of the state fidelity: alpha* beta, alpha* gamma, beta* delta, gamma* delta
 # (the Gram rows of _ChannelData.M) and alpha* delta (the pair leakage).
 _LEAK_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3))
 
 
-def _state_forms(ch: _ChannelData) -> tuple[np.ndarray, np.ndarray]:
-    """The state fidelity at one time as a Hermitian quartic form.
+def _transfer_block(ch: _ChannelData) -> np.ndarray:
+    """The 4x4 matrix E_0 with q_0 = z^H E_0 z for z = (alpha, beta, gamma, delta).
+
+    q_0 is the overlap of the input with the transferred state: the vacuum,
+    the two one-excitation amplitudes and the pair amplitude at the
+    receivers.
+    """
+    r1, r2 = ch.r1 - 1, ch.r2 - 1
+    E0 = np.zeros((4, 4), dtype=complex)
+    E0[0, 0] = 1.0
+    E0[1, 1:3] = ch.w2[r2], ch.w1[r2]
+    E0[2, 1:3] = ch.w2[r1], ch.w1[r1]
+    E0[3, 3] = ch.g11
+    return E0
+
+
+def _monomial_coefficients(A: np.ndarray) -> np.ndarray:
+    """Coefficients of z^H A z on the monomials m of _MONOMIALS.
+
+    With u = (x, y) and z = x + iy, z^H A z = u^T T u for T = [[A, iA],
+    [-iA, A]], so the coefficient of u_i u_j is T_ij + T_ji for i < j and
+    T_ii for i = j.
+    """
+    T = np.block([[A, 1j * A], [-1j * A, A]])
+    return (T + T.T - np.diag(T.diagonal()))[_MONOMIALS]
+
+
+def _state_forms(ch: _ChannelData) -> np.ndarray:
+    """The state fidelity at one time as a sum of squares of real linear forms.
 
     For an input z = (alpha, beta, gamma, delta) the fidelity is
 
-        F(z) = sum_jk conj(q_j) K_jk q_k,    q_j = z^H E_j z,
+        F(z) = |q_0|^2 + c^H M c + pair_leak |conj(alpha) delta|^2,
 
-    with q_0 = T0 the overlap of the input with the transferred state
-    (vacuum plus the two one-excitation and the pair amplitudes at the
-    receivers), q_1..q_5 the products of _LEAK_PAIRS, and K the
-    block-diagonal matrix of 1, M and pair_leak.  Returns (E, K) of shapes
-    (6, 4, 4) and (6, 6).
+    with q_0 = z^H E_0 z (_transfer_block) and c the first four products
+    of _LEAK_PAIRS.  The last two terms are l^H K l for all five products l
+    and K = diag(M, pair_leak), which is ||R l||^2 with R = sqrt(lambda) V^H
+    from K = V diag(lambda) V^H.  q_0 and R l are complex linear in the
+    monomials m(z), so F(z) = ||W^T m(z)||^2 for the real matrix W
+    returned here, of shape (32, 12): its columns hold the real, then the
+    imaginary parts of the coefficients of q_0 and of the five entries of
+    R l.
     """
-    r1, r2 = ch.r1 - 1, ch.r2 - 1
-    E = np.zeros((6, 4, 4), dtype=complex)
-    E[0, 0, 0] = 1.0
-    E[0, 1, 1:3] = ch.w2[r2], ch.w1[r2]
-    E[0, 2, 1:3] = ch.w2[r1], ch.w1[r1]
-    E[0, 3, 3] = ch.g11
-    for j, (a, b) in enumerate(_LEAK_PAIRS, start=1):
-        E[j, a, b] = 1.0
-    K = np.zeros((6, 6), dtype=complex)
-    K[0, 0] = 1.0
-    K[1:5, 1:5] = ch.M
-    K[5, 5] = ch.pair_leak
-    return E, K
+    K = np.zeros((5, 5), dtype=complex)
+    K[:4, :4] = ch.M
+    K[4, 4] = ch.pair_leak
+    lam, V = np.linalg.eigh(K)
+    R = np.sqrt(np.clip(lam, 0.0, None))[:, None] * V.conj().T
+    unit = np.eye(4)
+    leak = np.column_stack(
+        [_monomial_coefficients(np.outer(unit[a], unit[b])) for a, b in _LEAK_PAIRS]
+    )
+    coef = np.column_stack([_monomial_coefficients(_transfer_block(ch)), leak @ R.T])
+    return np.hstack([coef.real, coef.imag])
 
 
-def _quartic(forms: tuple[np.ndarray, np.ndarray], Z: np.ndarray):
-    """F(z) of _state_forms for each row of Z, with E_j z and u = K q.
+def _quartic(W: np.ndarray, U: np.ndarray):
+    """F(z / |z|) of _state_forms for every column u = (Re z, Im z) of U.
 
-    Returns (F, EZ, u) with EZ[s, j] = E_j z_s and u[s] = K q(z_s); the
-    gradient reads the last two.
+    U has shape (8, S).  F(z) = ||W^T m(z)||^2 is homogeneous of degree 4,
+    so F(z) / |z|^4 is the fidelity of the state z / |z|, and no normalized
+    copy of z is formed.  Returns (F, out) with the unnormalized forms
+    out = W^T m(z), of shape (12, S), which the gradient reads.
     """
-    E, K = forms
-    EZ = (Z @ E.reshape(24, 4).T).reshape(len(Z), 6, 4)
-    q = np.einsum("sja,sa->sj", EZ, Z.conj())
-    u = q @ K.T
-    return np.einsum("sj,sj->s", q.conj(), u).real, EZ, u
+    m = U[_MONOMIALS[0]]
+    m *= U[_MONOMIALS[1]]
+    out = W.T @ m
+    nrm2 = m[:8].sum(axis=0)
+    return (out * out).sum(axis=0) / (nrm2 * nrm2), out
 
 
 def _fidelity_samples(ch: _ChannelData, Z: np.ndarray) -> np.ndarray:
-    """Vectorized state fidelity for an array of normalized input states.
+    """Vectorized state fidelity for an array of input states.
 
-    Z has shape (S, 4) holding (alpha, beta, gamma, delta) rows.  Agrees
-    with sector_oracle.state_fidelity sample by sample to roundoff; used by
-    the Monte-Carlo average and the worst case's certification sample.
+    Z has shape (S, 4) holding (alpha, beta, gamma, delta) rows; a row need
+    not be normalized, since the fidelity of z / |z| is returned.  One
+    _quartic call over all rows; agrees with sector_oracle.state_fidelity
+    sample by sample to roundoff.
     """
-    return _quartic(_state_forms(ch), Z)[0]
+    return _quartic(_state_forms(ch), np.concatenate([Z.real.T, Z.imag.T]))[0]
 
 
-def _fidelity_and_gradient(forms, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State fidelity and its Wirtinger gradient dF/d conj(z) per row of Z.
-
-    Each q_j = z^H E_j z gives dq_j/d conj(z) = E_j z and d conj(q_j)/d
-    conj(z) = E_j^H z, so dF/d conj(z) = sum_j (u_j E_j^H z + conj(u_j)
-    E_j z) with u = K q.  For real coordinates z = x + iy the gradient is
-    (dF/dx, dF/dy) = 2 (Re, Im) of it.
-    """
-    E = forms[0]
-    F, EZ, u = _quartic(forms, Z)
-    EHZ = (Z @ E.conj().transpose(0, 2, 1).reshape(24, 4).T).reshape(len(Z), 6, 4)
-    grad = np.einsum("sj,sja->sa", u, EHZ) + np.einsum("sj,sja->sa", u.conj(), EZ)
-    return F, grad
-
-
-# Samples per _fidelity_samples call in haar_average_mc.  Temporaries over
-# all 10^5 samples (6.4 MB each) lie above glibc's mmap threshold unless the
-# process has freed a larger block before, and are then page-faulted afresh
-# on every call.  At N = 46, 10^5 samples, on one core of a 2-core x86 VM, a
-# call took 91 ms unblocked, 76 ms with 4096-sample blocks and 78 ms with
-# 16384.  _quartic's largest temporary holds 24 complex numbers per sample:
-# with 2048-sample blocks a 20000-sample call raises the peak RSS by 4.3 MB,
-# as much as the earlier per-component code did with 4096, against 5.8 MB
-# with 4096; 1024-8192 took the same time within the VM's noise.
+# Samples per _quartic call when a Haar sample is evaluated.  The
+# temporaries of a 2048-sample block peak at 1.1 MB, inside the 2 MB L2
+# share of one core of a 2-core x86 VM.  There, on one core, the kernel took
+# 10-11 ms over 10^5 samples in blocks of 1024 or 2048, 14 ms with 4096 and
+# 47 ms with 8192, and haar_average_mc at N = 46 took 34 ms with 1024 or
+# 2048 and 36 ms with 3072, about half of it drawing the normals.
 _MC_BLOCK = 2048
+
+
+def _fidelities_in_blocks(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """F(z / |z|) for the rows z = V[0] + i V[1], in blocks of _MC_BLOCK."""
+    F = np.empty(V.shape[1])
+    for i in range(0, len(F), _MC_BLOCK):
+        block = V[:, i : i + _MC_BLOCK].transpose(0, 2, 1).reshape(8, -1)
+        F[i : i + _MC_BLOCK] = _quartic(W, block)[0]
+    return F
 
 
 def haar_average_mc(
@@ -344,12 +388,10 @@ def haar_average_mc(
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     rng = np.random.default_rng(seed)
-    ch = _channel_data(spec, t, sd, receiver_order)
-    Z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    F = np.concatenate(
-        [_fidelity_samples(ch, Z[i : i + _MC_BLOCK]) for i in range(0, samples, _MC_BLOCK)]
-    )
+    W = _state_forms(_channel_data(spec, t, sd, receiver_order))
+    # the real, then the imaginary parts of the Gaussian vectors: the numbers
+    # of two (samples, 4) draws in that order; _quartic normalizes
+    F = _fidelities_in_blocks(W, rng.standard_normal((2, samples, 4)))
     mean = float(F.mean())
     stderr = float(F.std(ddof=1) / np.sqrt(samples))
     return mean, stderr
@@ -358,16 +400,20 @@ def haar_average_mc(
 def _sphere_objective(x: np.ndarray, forms) -> tuple[float, np.ndarray]:
     """F(z / |z|) = F(z) / |z|^4 and its gradient in the coordinates x.
 
-    x holds (Re z, Im z).  With F and g = dF/d conj(z) taken at the unit
-    state z / |z| = x / |x|, the gradient is (2 (Re g, Im g) - 4 F x / |x|)
-    / |x|; it is orthogonal to x, since F / |z|^4 does not change along it.
+    x holds u = (Re z, Im z) and forms is W of _state_forms.  F(z) = ||o||^2
+    with o = W^T m(u), so dF/dm = 2 W o, and since d(u_i u_j)/du = u_j e_i
+    + u_i e_j, dF/du = 2 (S + S^T) u for the 8 x 8 matrix S that holds
+    (W o)_k at the index pair (i, j) of monomial k.  The gradient of
+    F(z) / |z|^4 is (dF/du / |z|^2 - 4 F(z / |z|) x) / |z|^2; it is
+    orthogonal to x, since F(z) / |z|^4 does not change along it.
     """
-    z = x[:4] + 1j * x[4:]
-    nrm = np.linalg.norm(z)
-    if nrm < 1e-9:
+    nrm2 = float(x @ x)
+    if nrm2 < 1e-18:
         return 1.0, np.zeros(8)
-    F, g = _fidelity_and_gradient(forms, (z / nrm)[None, :])
-    grad = (2.0 * np.concatenate([g[0].real, g[0].imag]) - 4.0 * F[0] * x / nrm) / nrm
+    F, out = _quartic(forms, x[:, None])
+    S = np.zeros((8, 8))
+    S[_MONOMIALS] = forms @ out[:, 0]
+    grad = (2.0 * (S + S.T) @ x / nrm2 - 4.0 * F[0] * x) / nrm2
     return float(F[0]), grad
 
 
@@ -398,20 +444,19 @@ def worst_case_fidelity(
     Returns (worst state, minimal fidelity); the state's fidelity is the
     returned value.
     """
-    ch = _channel_data(spec, t, sd, receiver_order)
-    forms = _state_forms(ch)
+    forms = _state_forms(_channel_data(spec, t, sd, receiver_order))
     rng = np.random.default_rng(seed)
 
     # certification sample: the optimum must not sit above the empirical min
-    Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
-    Z /= np.linalg.norm(Z, axis=1)[:, None]
-    Fs = _fidelity_samples(ch, Z)
+    V = rng.standard_normal((2, 10000, 4))
+    Fs = _fidelities_in_blocks(forms, V)
     k = int(np.argmin(Fs))
-    starts = [np.concatenate([Z[k].real, Z[k].imag])]
+    z_k = V[0, k] + 1j * V[1, k]
+    starts = [V[:, k].ravel() / np.linalg.norm(z_k)]
     starts += [rng.normal(size=8) for _ in range(restarts)]
 
     best_val = np.inf
-    best_z = Z[k]
+    best_z = z_k
     exhausted = False
     # ftol and gtol sit near roundoff, so each search stops at its local
     # minimum to about 1e-16 in F, after a few dozen iterations at most
@@ -435,5 +480,5 @@ def worst_case_fidelity(
             WorstCaseBudgetWarning,
         )
         if Fs[k] < best_val:
-            best_val, best_z = float(Fs[k]), Z[k]
+            best_val, best_z = float(Fs[k]), z_k
     return TwoQubitState.from_vector(best_z), float(best_val)

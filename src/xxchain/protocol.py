@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .amplitudes import propagator_rows
 from .chain import ChainSpec, build_single_particle
 from .fidelity import average_fidelity_approx, edge_products, fidelity_grid
 from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
@@ -335,9 +334,9 @@ def scan(base: ChainSpec, axis: str, values) -> list[ScanRecord]:
             spec = ChainSpec(N=N, h=h)
             sd = diagonalize(build_single_particle(spec))
             res = find_transfer_time(spec, sd)
-            w1, w2 = propagator_rows(sd, spec.senders, [res.t_star])[0]
-            r1, r2 = spec.receivers
-            f_approx = average_fidelity_approx(w1[r1 - 1], w1[r2 - 1], w2[r1 - 1])
+            products = edge_products(spec, sd)
+            f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * res.t_star) @ products
+            f_approx = average_fidelity_approx(f11, f12, f21)
             regime = classify_chain(N)
             t1 = transfer_time_estimate(N, h) if regime == "rabi" else float("nan")
             records.append(

@@ -52,11 +52,11 @@ def diagonalize(m: SymTridiag) -> SpectralData:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise RuntimeError(f"tridiagonal eigensolver failed to converge: {exc}")
     vecs = v.T.copy()  # rows = eigenstates
-    for k in range(vecs.shape[0]):
-        row = vecs[k]
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if len(nz) and row[nz[0]] < 0:
-            vecs[k] = -row
+    # the first entry of each row with magnitude above 1e-12; argmax gives 0
+    # for a row with none, and that entry fails the threshold test below
+    first = ((vecs > 1e-12) | (vecs < -1e-12)).argmax(axis=1)
+    flip = vecs[np.arange(len(vecs)), first] < -1e-12
+    vecs[flip] = -vecs[flip]
     return SpectralData(eigenvalues=w, eigenvectors=vecs)
 
 

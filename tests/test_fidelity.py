@@ -207,16 +207,52 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("spec, order", GEOMETRIES)
     def test_fast_path_matches_oracle_per_sample(self, spec, order):
         # the vectorized sampler must agree with the brute-force sector
-        # fidelity state by state, not just on average
+        # fidelity state by state, not just on average, and must evaluate
+        # an unnormalized row z as the state z / |z|
         t = 2.3
         ch = _channel_data(spec, t, receiver_order=order)
         rng = np.random.default_rng(12)
         for _ in range(25):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             z /= np.linalg.norm(z)
-            fast = _fidelity_samples(ch, z[None, :])[0]
+            scaled = rng.uniform(0.1, 10.0) * z
+            fast = _fidelity_samples(ch, np.stack([z, scaled]))
             slow = state_fidelity(spec, TwoQubitState.from_vector(z), t, order)
-            assert abs(fast - slow) < 1e-12
+            assert np.all(np.abs(fast - slow) < 1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, t, samples, seed, order, mean, stderr",
+        [
+            pytest.param(ChainSpec(N=46, h=100.0), 1234.5, 100_000, 11, "12",
+                         0.24582238372001636, 0.0005986865701114491, id="N46"),
+            pytest.param(ChainSpec(N=8, h=6.0), 4.4, 20_000, 5, "12",
+                         0.2689082146839657, 0.001328900513025025, id="N8"),
+            pytest.param(ChainSpec(N=7, h=3.0), 2.3, 20_000, 7, "21",
+                         0.28540128508999996, 0.0013415106769570195, id="order21"),
+        ],
+    )
+    def test_pinned_seeded_average(self, spec, t, samples, seed, order, mean, stderr):
+        # values of the per-state kernel that normalized each complex draw
+        # before evaluating it; they pin the draw order of the seeded
+        # normals and the division of F(z) by |z|^4
+        got = haar_average_mc(spec, t, samples, seed, receiver_order=order)
+        assert got[0] == pytest.approx(mean, rel=0.0, abs=1e-15)
+        assert got[1] == pytest.approx(stderr, rel=1e-12)
+
+    def test_memory_is_bounded_by_the_draws(self):
+        # the 10^5 Gaussian draws take 6.4 MB; the blocked kernel adds the
+        # 0.8 MB of fidelities and a block's temporaries, and no complex
+        # or normalized copy of the draws is formed
+        spec = ChainSpec(N=46, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        haar_average_mc(spec, 1234.5, 100_000, 1, sd)
+        tracemalloc.start()
+        try:
+            haar_average_mc(spec, 1234.5, 100_000, 1, sd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10**6
 
     def test_fixed_input_beats_mean_at_zero(self):
         spec = ChainSpec(N=8, h=3.0)

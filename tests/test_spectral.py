@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import jacobi_eigh
 from xxchain.chain import ChainSpec, SymTridiag, build_single_particle
@@ -56,6 +57,20 @@ class TestDiagonalize:
         for row in sd.eigenvectors:
             nz = np.nonzero(np.abs(row) > 1e-12)[0]
             assert row[nz[0]] > 0
+
+    @pytest.mark.parametrize("N", [6, 7, 46, 400])
+    def test_sign_fix_matches_row_loop(self, N):
+        # the vectorized sign fix against the rule applied row by row; about
+        # half the rows flip, and at N = 46 and 400 one row starts with an
+        # entry below the 1e-12 threshold
+        m = build_single_particle(ChainSpec(N=N, h=100.0))
+        _, v = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
+        ref = v.T.copy()
+        for k, row in enumerate(ref):
+            nz = np.nonzero(np.abs(row) > 1e-12)[0]
+            if len(nz) and row[nz[0]] < 0:
+                ref[k] = -row
+        np.testing.assert_array_equal(diagonalize(m).eigenvectors, ref)
 
     def test_deterministic(self):
         m = build_single_particle(ChainSpec(N=11, h=6.0))
