@@ -44,7 +44,7 @@ def propagator(sd: SpectralData, t: float) -> AmplitudeSet:
     f_n^m = sum_k exp(-i eps_k t) a_{kn} a_{km}: every row of
     propagator_rows at the single time t.
     """
-    return AmplitudeSet(t=float(t), f=propagator_rows(sd, range(1, sd.n + 1), [t])[0])
+    return AmplitudeSet(t=float(t), f=propagator_rows(sd, np.arange(1, sd.n + 1), [t])[0])
 
 
 def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
@@ -52,30 +52,33 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
 
     Returns an array of shape (len(ts), len(sites), N) with entry
     [i, j, m-1] = f_{sites[j]}^m(ts[i]).  Sites are 1-based.  The rows are
-    one real matrix product: the weights exp(-i eps_k t) a_{k,s}, split
-    into real and imaginary parts and stacked, times the real eigenvector
-    matrix, so no complex matrix product is formed.
+    one real matrix product: the weights exp(-i eps_k t) a_{k,s}, their
+    real and imaginary parts written into one array, times the real
+    eigenvector matrix, so no complex matrix product is formed.
     """
     a = sd.eigenvectors
     N = a.shape[0]
-    for s in sites:
-        if not 1 <= s <= N:
-            raise ValueError(f"site {s} outside chain [1, {N}]")
+    sites = np.asarray(sites)
+    if sites.size and (sites.min() < 1 or sites.max() > N):
+        bad = (sites < 1) | (sites > N)
+        raise ValueError(f"site {sites[bad.argmax()]} outside chain [1, {N}]")
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise ValueError(f"times must be finite, got {ts}")
-    cols = [s - 1 for s in sites]
     phases = np.exp(-1j * np.outer(ts, sd.eigenvalues))  # (T, N)
     # f_s^m(t) = sum_k (phases[t,k] * a[k,s]) * a[k,m]: the real, then the
     # imaginary parts of the weights, of shape (2, T, S, N), times a; the
     # weights are freed before the complex result is allocated
-    w = np.stack([phases.real, phases.imag])[:, :, None, :] * a[:, cols].T
+    aT = a[:, sites - 1].T
+    w = np.empty((2, len(ts), len(sites), N))
+    np.multiply(phases.real[:, None, :], aT, out=w[0])
+    np.multiply(phases.imag[:, None, :], aT, out=w[1])
     rows = w.reshape(-1, N) @ a
     del w
     n = len(rows) // 2
     f = np.empty((n, N), dtype=complex)
     f.real, f.imag = rows[:n], rows[n:]
-    return f.reshape(len(ts), len(cols), N)
+    return f.reshape(len(ts), len(sites), N)
 
 
 def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:

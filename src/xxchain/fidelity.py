@@ -181,7 +181,8 @@ def fidelity_from_edge_amplitudes(f11: complex, f22: complex, g: complex) -> flo
 # cost more Python overhead per point, more rows fall out of cache.  At
 # N = 29 and 50 on one core of a 2-core x86 VM the grid took 150-180 ns per
 # point with 256 rows, 80-110 with 1024, 80-125 with 2048 and 165-275 with
-# 16384.
+# 16384.  _fidelity_points forms its phases on the same blocks.  The t* scan
+# no longer runs this kernel over its window: _fidelity_bound screens it.
 _GRID_BLOCK = 1024
 
 
@@ -224,6 +225,125 @@ def fidelity_grid(
         f11, f12, f21, f22 = (table[:m] @ (start[:, None] * products)).T
         out[lo : lo + m] = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
     return out
+
+
+def _fidelity_points(
+    eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int, idx
+) -> np.ndarray:
+    """fidelity_grid(eigenvalues, products, t0, step, n)[idx] without the rest of the grid.
+
+    Each phase is formed from the same two arguments as in fidelity_grid:
+    row r = j mod rows of its phase table and the start of the block j - r.
+    Only the final sums over the modes run in another order, so the values
+    agree with the grid's to about 1e-16.  Costs 2 N exponentials per point.
+    """
+    idx = np.asarray(idx)
+    rows = min(n, _GRID_BLOCK)
+    r = idx % rows
+    out = np.empty(len(idx))
+    for i in range(0, len(idx), rows):
+        rr = r[i : i + rows]
+        phase = np.exp(-1j * np.multiply.outer(rr * step, eigenvalues))
+        phase *= np.exp(-1j * np.multiply.outer(t0 + (idx[i : i + rows] - rr) * step, eigenvalues))
+        f11, f12, f21, f22 = (phase @ products).T
+        out[i : i + rows] = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
+    return out
+
+
+# A mode is left out of the t* screen while the sum of max_i |p_ki| over the
+# modes left out stays at or below this; smallest weights go first.  Every
+# QUASI_MENU chain keeps 6 of its N modes.
+_TRUNCATION_WEIGHT = 1e-3
+# Screen layout: phase-table rows, and grid points per chunk of blocks.  Over
+# the 25 QUASI_MENU windows (2.0M points, 6 modes) on one core of a 2-core
+# x86 VM the screen took 56-70 ms (median of 3) with 8192- or 16384-point
+# chunks at 128-1024 rows, 60-80 ms with 4096- or 32768-point chunks and
+# 71-87 ms with 2048-point chunks; the spread between runs is about 10%.
+_SCREEN_ROWS = 256
+_SCREEN_POINTS = 8192
+
+
+@dataclass(frozen=True)
+class _FidelityBound:
+    """Certified upper bound on fidelity_grid from its dominant modes.
+
+    upper[j] >= fidelity_grid(...)[j] (and >= _fidelity_points there) at
+    every grid point.  modes_kept counts the modes the screen evaluates;
+    truncation_bound is D >= |c - c~|, the most the left-out modes can move
+    c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.
+    """
+
+    upper: np.ndarray
+    modes_kept: int
+    truncation_bound: float
+
+
+def _fidelity_bound(
+    eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int
+) -> _FidelityBound:
+    """Upper bound on the exact average fidelity over the grid of fidelity_grid.
+
+    The modes with the largest max_i |p_ki| are kept until the left-out
+    weight is at most _TRUNCATION_WEIGHT.  The screen evaluates c~ = (1 +
+    f11)(1 + f22) - f12 f21, the coherent amplitude c of the kept modes
+    alone.  With d_i the column sums of |p| over the left-out modes and W_i
+    those over the kept ones, |c - c~| <= D = d11 + d22 + W11 d22 + W22 d11
+    + d11 d22 + W12 d21 + W21 d12 + d12 d21, so Fbar <= (4 + (|c~| + D +
+    sigma)^2) / 20, where sigma covers rounding (see below).  The screen
+    costs about 4 (K + 1) complex multiply-adds per point for K kept modes,
+    on a phase table of _SCREEN_ROWS rows re-phased per block.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one grid point, got n = {n}")
+    a = np.abs(products)
+    weight = a.max(axis=1)
+    order = np.argsort(weight, kind="stable")
+    q = int(np.searchsorted(np.cumsum(weight[order]), _TRUNCATION_WEIGHT, side="right"))
+    kept = order[q:]
+    d11, d12, d21, d22 = a[order[:q]].sum(axis=0).tolist()
+    W11, W12, W21, W22 = a[kept].sum(axis=0).tolist()
+    D = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
+    # Rounding: both the exact kernels and this screen compute each phase
+    # from arguments within 8 eps |eps_k| T of eps_k t (T = max |t| on the
+    # grid), with exponentials and products within 16 eps, and sum at most
+    # N + 1 terms (the constant 1 counts as a mode of weight 1), so each
+    # amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T + 2 N + 16) + 2 N
+    # + 16) of its true value.  As sum_k |p_ki| <= 1, c moves by at most
+    # twice the sum of those four errors on each side; 64 eps more covers
+    # assembling c and taking its modulus.
+    eps = np.finfo(float).eps
+    N = len(eigenvalues)
+    T = max(abs(t0), abs(t0 + (n - 1) * step))
+    per_mode = a.sum(axis=1) @ (8.0 * T * np.abs(eigenvalues) + 2 * N + 16)
+    sigma = 4.0 * eps * (per_mode + 4 * (2 * N + 16)) + 64.0 * eps
+
+    # one more mode at energy 0 carries the 1 of (1 + f11) and (1 + f22)
+    K = len(kept)
+    e = np.append(eigenvalues[kept], 0.0)
+    w = np.zeros((4, K + 1))
+    w[:, :K] = products[kept].T
+    w[0, K] = w[3, K] = 1.0
+    # a table of about sqrt(n) rows needs the fewest exponentials, table and
+    # block starts together, below _SCREEN_ROWS^2 points
+    rows = min(n, _SCREEN_ROWS, int(n**0.5) + 1)
+    blocks = -(-n // rows)
+    per_chunk = max(1, _SCREEN_POINTS // rows)
+    table = np.exp(-1j * np.multiply.outer(e, np.arange(rows) * step))
+    upper = np.empty(blocks * rows)
+    for b in range(0, blocks, per_chunk):
+        nb = min(per_chunk, blocks - b)
+        start = np.exp(-1j * np.multiply.outer(t0 + np.arange(b, b + nb) * rows * step, e))
+        u, x, y, v = ((start * w[:, None, :]).reshape(-1, K + 1) @ table).reshape(4, nb, rows)
+        c = u * v
+        x *= y
+        c -= x
+        np.abs(c, out=upper[b * rows : (b + nb) * rows].reshape(nb, rows))
+    upper = upper[:n]
+    upper += D + sigma
+    upper *= upper
+    upper += 4.0
+    upper /= 20.0
+    return _FidelityBound(upper=upper, modes_kept=K, truncation_bound=D)
 
 
 def average_fidelity_approx(f11: complex, f1N: complex, f2N1: complex) -> float:

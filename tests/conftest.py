@@ -1,6 +1,9 @@
-"""Shared test helpers: an independent dense eigensolver oracle."""
+"""Shared test helpers: an independent dense eigensolver oracle and seeded
+random chains for the grid-scan differential tests."""
 
 import numpy as np
+
+from xxchain.chain import ChainSpec
 
 
 def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
@@ -35,3 +38,32 @@ def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
                 v = v @ rot
     order = np.argsort(np.diag(a))
     return np.diag(a)[order], v[:, order].T
+
+
+def random_grid_chain(seed):
+    """A seeded chain and grid (spec, t0, step) for the t* scan tests.
+
+    Fields are the barrier profile at one of five strengths plus noise, so
+    the chain is not mirror symmetric; couplings are drawn from [0.8, 1.2].
+    N is drawn from 8-12 at h = 0, where the scan's screen keeps every mode,
+    and from 8-60 otherwise; at h >= 40 the screen drops most modes.  Every
+    other seed moves the senders and receivers to random distinct sites.
+    t0 is drawn from [10, 5000].
+    """
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(8, 13 if seed % 5 == 0 else 61))
+    h = (0.0, 2.0, 10.0, 40.0, 150.0)[seed % 5] * rng.uniform(0.8, 1.2)
+    fields = rng.normal(0.0, 0.05, N)
+    fields[[2, N - 3]] += h
+    roles = {}
+    if seed % 2:
+        s1, s2, r1, r2 = (int(x) + 1 for x in rng.choice(N, size=4, replace=False))
+        roles = {"senders": tuple(sorted((s1, s2))), "receivers": tuple(sorted((r1, r2)))}
+    spec = ChainSpec(
+        N=N,
+        h=h,
+        couplings=tuple(rng.uniform(0.8, 1.2, N - 1)),
+        fields=tuple(fields),
+        **roles,
+    )
+    return spec, float(rng.uniform(10.0, 5000.0)), float(rng.uniform(0.02, 0.5))

@@ -11,6 +11,7 @@ from xxchain.amplitudes import propagator, two_particle
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
 from xxchain.fidelity import WorstCaseBudgetWarning
+from xxchain.protocol import find_transfer_time
 from xxchain.spectral import diagonalize
 
 
@@ -184,8 +185,46 @@ class TestOutputs:
         t = [float(dict(zip(header, r))["t_star"]) for r in rows]
         assert t[0] < t[1] < t[2]
 
+    def test_search_work_in_manifests(self, outdir):
+        work = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+        assert run(["transfer-time", "--N", "29", "--h", "100"]) == 0
+        diag = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())["diagnostics"]
+        res = find_transfer_time(ChainSpec(N=29, h=100.0))
+        assert [diag[k] for k in work] == [getattr(res, k) for k in work]
+        _, header, _ = read_csv(outdir / "transfer_time.csv")
+        assert not set(work) & set(header)
+
+        assert run(["scan", "--N", "10", "--axis", "h", "--values", "8,10"]) == 0
+        diag = json.loads((outdir / "scan.csv.manifest.json").read_text())["diagnostics"]
+        for h, k in zip((8.0, 10.0), range(2)):
+            res = find_transfer_time(ChainSpec(N=10, h=h))
+            assert [diag[key][k] for key in work] == [getattr(res, key) for key in work]
+        _, header, _ = read_csv(outdir / "scan.csv")
+        assert not set(work) & set(header)
+
     def test_perturb_quasi_rabi_rejected(self, capsys):
         assert run(["perturb", "--N", "29", "--h", "50"]) == 1
+
+
+def _fmt_with_isnan(x):
+    """The CSV cell rule _fmt had before it relied on format() for nan."""
+    if isinstance(x, float):
+        if np.isnan(x):
+            return "nan"
+        return format(x, ".12g")
+    return str(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+        1.0 / 3.0, np.float64(-2.5e-17), np.float64("nan"), np.int64(-7), 42, "quasi-rabi",
+    ],
+    ids=repr,
+)
+def test_fmt_matches_isnan_rule(x):
+    assert cli_module._fmt(x) == _fmt_with_isnan(x)
 
 
 class TestConfigAndDeterminism:

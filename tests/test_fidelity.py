@@ -5,12 +5,15 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import xxchain.fidelity as fidelity_module
+from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _GRID_BLOCK,
     _MC_BLOCK,
     WorstCaseBudgetWarning,
     _channel_data,
+    _fidelity_bound,
+    _fidelity_points,
     _fidelity_samples,
     _sphere_objective,
     _state_forms,
@@ -145,6 +148,50 @@ class TestFidelityGrid:
         sd = diagonalize(build_single_particle(spec))
         with pytest.raises(ValueError):
             fidelity_grid(sd.eigenvalues, edge_products(spec, sd), 0.0, 0.1, 0)
+        with pytest.raises(ValueError):
+            _fidelity_bound(sd.eigenvalues, edge_products(spec, sd), 0.0, 0.1, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bound_and_points_against_grid(self, seed):
+        # the screen's bound must hold at every point, also where it keeps
+        # every mode and only its rounding slack separates it from the grid
+        spec, t0, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        for n in self.SIZES:
+            grid = fidelity_grid(sd.eigenvalues, products, t0, step, n)
+            bound = _fidelity_bound(sd.eigenvalues, products, t0, step, n)
+            assert bound.upper.shape == (n,)
+            assert np.all(bound.upper >= grid)
+            assert 0 <= bound.modes_kept <= spec.N
+            assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
+            points = _fidelity_points(sd.eigenvalues, products, t0, step, n, np.arange(n))
+            np.testing.assert_allclose(points, grid, rtol=0.0, atol=1e-14)
+
+    def test_random_grids_cover_full_and_truncated_screens(self):
+        # the seeds above include screens that keep every mode (D = 0) and
+        # screens that drop most of them
+        kept_all = set()
+        for seed in range(20):
+            spec, t0, step = random_grid_chain(seed)
+            sd = diagonalize(build_single_particle(spec))
+            bound = _fidelity_bound(sd.eigenvalues, edge_products(spec, sd), t0, step, 10)
+            kept_all.add(bound.modes_kept == spec.N)
+            if bound.modes_kept < spec.N:
+                assert bound.truncation_bound > 0.0
+        assert kept_all == {True, False}
+
+    def test_truncation_keeps_the_dominant_modes(self):
+        # every quasi-Rabi chain of the benchmark menu keeps 6 modes: the
+        # quadruplet and the two extended states of sixstate_data
+        spec = ChainSpec(N=29, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        bound = _fidelity_bound(sd.eigenvalues, products, 0.0, 0.1, 5)
+        weight = np.sort(np.abs(products).max(axis=1))
+        assert bound.modes_kept == 6
+        assert weight[:-6].sum() <= 1e-3 < weight[:-5].sum()
+        assert 0.0 < bound.truncation_bound < 4e-3
 
 
 class TestApproximateAverage:

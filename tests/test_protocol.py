@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_grid_chain
 from xxchain.amplitudes import propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
+from xxchain.fidelity import _GRID_BLOCK, edge_products, fidelity_grid
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
 from xxchain.protocol import (
+    _scan,
     find_transfer_time,
     quadruplet_data,
     quasi_rabi_coefficients,
@@ -155,6 +158,38 @@ class TestFindTransferTime:
         assert clusters >= 3
 
 
+class TestPrunedScan:
+    B = _GRID_BLOCK
+    SIZES = (1, B - 1, B, B + 1, 2 * B + 37)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_full_grid_argmax(self, seed):
+        # the screened scan must pick the very grid point np.argmax picks
+        # over the exact grid, first of equal maxima included
+        spec, t0, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        spacing = (t0 + step) - t0
+        for n in self.SIZES:
+            t_best, F_best, work = _scan(sd, products, t0, t0 + (n - 1.5) * step, step)
+            assert work["grid_points"] == n
+            F = fidelity_grid(sd.eigenvalues, products, t0, spacing, n)
+            j = int(np.argmax(F))
+            assert t_best == t0 + j * spacing
+            assert abs(F_best - F[j]) <= 1e-14
+            assert 1 <= work["grid_points_exact"] <= n
+
+    @pytest.mark.parametrize("N, h", [(50, 200.0), (32, 1000.0)])
+    def test_few_points_evaluated_on_all_modes(self, N, h):
+        # a count, not a timing: the screen leaves at most 5% of the
+        # quasi-Rabi window to the all-mode kernel
+        res = find_transfer_time(ChainSpec(N=N, h=h))
+        assert res.modes_kept == 6
+        assert 0.0 < res.truncation_bound < 4e-3
+        assert res.grid_points > 50000
+        assert 1 <= res.grid_points_exact <= 0.05 * res.grid_points
+
+
 class TestScan:
     def test_field_sweep_times_increase(self):
         recs = scan(ChainSpec(N=12, h=10.0), "h", [10.0, 14.0, 18.0])
@@ -163,6 +198,15 @@ class TestScan:
         assert t[0] < t[1] < t[2]
         for r in recs:
             assert 0.0 <= r.F_exact <= 1.0
+
+    def test_records_carry_search_work(self):
+        spec = ChainSpec(N=29, h=100.0)
+        res = find_transfer_time(spec)
+        good, bad = scan(spec, "N", [29, 3])
+        work = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+        assert [getattr(good, k) for k in work] == [getattr(res, k) for k in work]
+        assert (bad.modes_kept, bad.grid_points, bad.grid_points_exact) == (0, 0, 0)
+        assert np.isnan(bad.truncation_bound)
 
     def test_bad_point_recorded_not_fatal(self):
         recs = scan(ChainSpec(N=12, h=10.0), "N", [12, 3, 13])
