@@ -23,6 +23,7 @@ from .amplitudes import channel_occupation, propagator, propagator_rows, two_par
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
+    _fidelity_at,
     average_fidelity_approx,
     average_fidelity_exact,
     edge_products,
@@ -34,7 +35,7 @@ from .perturbation import (
     rabi_frequencies,
     transfer_time_estimate,
 )
-from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan
+from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan, transfer_record
 from .sector_oracle import (
     SectorBasis,
     TwoQubitState,
@@ -42,7 +43,13 @@ from .sector_oracle import (
     evolve,
     reduced_receiver_state,
 )
-from .spectral import classify_chain, diagonalize, localization_profile, localized_indices
+from .spectral import (
+    classify_chain,
+    diagonalize,
+    extended_indices,
+    localization_profile,
+    localized_indices,
+)
 
 
 class CliError(Exception):
@@ -243,10 +250,10 @@ def _cmd_spectrum(args):
         row = [k + 1, float(sd.eigenvalues[k]), float(weight[k])]
         row += [float(sd.eigenvectors[k, s - 1]) for s in sites]
         rows.append(row)
-    diag = {
-        "regime": classify_chain(spec.N),
-        "localized_indices": list(localized_indices(spec.N)),
-    }
+    regime = classify_chain(spec.N)
+    diag = {"regime": regime, "localized_indices": list(localized_indices(spec.N))}
+    if regime == "quasi-rabi":
+        diag["extended_indices"] = list(extended_indices(spec.N))
     _write_result(args, spec, columns, rows, diag, t0)
     return 0
 
@@ -325,7 +332,7 @@ def _cmd_fidelity(args):
     for t in ts:
         t = float(t)
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * t) @ products
+        _, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, products, t)
         fa = average_fidelity_approx(f11, f12, f21)
         mc_mean = mc_err = fmin = float("nan")
         if args.mc_samples:
@@ -383,36 +390,25 @@ def _cmd_perturb(args):
     return 0
 
 
+# The row of one transfer_record, as transfer-time prints it and scan
+# prints it per point, followed there by the point's error
+_RECORD_COLUMNS = [
+    "N", "h", "regime", "t_star", "F_exact", "F_approx",
+    "t1_estimate", "window_lo", "window_hi",
+]
+
+
+def _record_row(r) -> list:
+    return [r.N, r.h, r.regime, r.t_star, r.F_exact, r.F_approx, r.t1_estimate, *r.search_window]
+
+
 def _cmd_transfer_time(args):
     t0 = time.perf_counter()
     spec = _resolve_spec(args)
-    sd = diagonalize(build_single_particle(spec))
-    res = find_transfer_time(spec, sd)
-    products = edge_products(spec, sd)
-    f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * res.t_star) @ products
-    fa = average_fidelity_approx(f11, f12, f21)
-    regime = classify_chain(spec.N)
-    t1 = (
-        transfer_time_estimate(spec.N, spec.h)
-        if regime == "rabi" and spec.h > 0
-        else float("nan")
-    )
-    columns = [
-        "N", "h", "regime", "t_star", "F_exact", "F_approx",
-        "t1_estimate", "window_lo", "window_hi",
-    ]
-    rows = [[
-        spec.N, spec.h, regime, res.t_star, res.fidelity, fa,
-        t1, res.search_window[0], res.search_window[1],
-    ]]
-    diag = {
-        "t_seed": res.t_seed,
-        "candidate": res.candidate,
-        "candidate_fidelity": res.candidate_fidelity,
-        # the grid scan's work goes to the manifest, not the CSV columns
-        **{key: getattr(res, key) for key in _SEARCH_WORK},
-    }
-    _write_result(args, spec, columns, rows, diag, t0)
+    rec = transfer_record(spec)
+    # the grid scan's work goes to the manifest, not the CSV columns
+    diag = {key: getattr(rec, key) for key in ("candidate", "candidate_fidelity", *_SEARCH_WORK)}
+    _write_result(args, spec, _RECORD_COLUMNS, [_record_row(rec)], diag, t0)
     return 0
 
 
@@ -420,20 +416,13 @@ def _cmd_scan(args):
     t0 = time.perf_counter()
     spec = _resolve_spec(args)
     values = _parse_list(args.values, float if args.axis == "h" else int)
-    records = run_scan(spec, args.axis, values)
-    columns = [
-        "N", "h", "regime", "t_star", "F_exact", "F_approx",
-        "t1_estimate", "window_lo", "window_hi", "error",
-    ]
-    rows = [
-        [
-            r.N, r.h, r.regime, r.t_star, r.F_exact, r.F_approx,
-            r.t1_estimate, r.search_window[0], r.search_window[1], r.error,
-        ]
-        for r in records
-    ]
+    try:
+        records = run_scan(spec, args.axis, values)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    rows = [_record_row(r) + [r.error] for r in records]
     diag = {key: [getattr(r, key) for r in records] for key in _SEARCH_WORK}
-    _write_result(args, spec, columns, rows, diag, t0)
+    _write_result(args, spec, _RECORD_COLUMNS + ["error"], rows, diag, t0)
     return 0
 
 

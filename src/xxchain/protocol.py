@@ -12,18 +12,18 @@ these structures and refines on the exact average fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
+    _fidelity_at,
     _fidelity_bound,
     _fidelity_points,
     average_fidelity_approx,
     edge_products,
-    fidelity_grid,
 )
 from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
 from .spectral import (
@@ -49,25 +49,35 @@ class QuasiRabiCoefficients:
     c3: float
 
 
+# The grid scan's work, as _scan returns it and TransferTimeResult and
+# ScanRecord record it
+_SEARCH_WORK = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+
+_NAN = float("nan")
+
+
 @dataclass(frozen=True)
 class ScanRecord:
-    """One row of a parameter sweep.
+    """The transfer-time row of one chain, as transfer_record builds it.
 
-    The last four fields copy the grid scan's work from TransferTimeResult;
-    a failed point keeps their defaults.
+    One point of scan and the row of `xxchain transfer-time`.  The search
+    fields copy TransferTimeResult; a failed point keeps their defaults and
+    states its error.
     """
 
     N: int
     h: float
     regime: str
-    t_star: float
-    F_exact: float
-    F_approx: float
-    t1_estimate: float
-    search_window: tuple[float, float]
+    t_star: float = _NAN
+    F_exact: float = _NAN
+    F_approx: float = _NAN
+    t1_estimate: float = _NAN
+    search_window: tuple[float, float] = (_NAN, _NAN)
     error: str = ""
+    candidate: float = _NAN
+    candidate_fidelity: float = _NAN
     modes_kept: int = 0
-    truncation_bound: float = float("nan")
+    truncation_bound: float = _NAN
     grid_points: int = 0
     grid_points_exact: int = 0
 
@@ -77,17 +87,17 @@ class TransferTimeResult:
     """Optimal readout time with search diagnostics.
 
     Unpacks as (t_star, fidelity).  candidate/candidate_fidelity record the
-    stage-2 analytic seed before grid refinement; search_window the time
-    interval actually scanned.  The grid scan's work: grid_points in the
-    window, modes_kept by its screen (fidelity._fidelity_bound) with the
-    truncation_bound D on the coherent amplitude, and grid_points_exact,
-    the points evaluated on all modes.
+    regime's analytic candidate (the scan's best point where it has none)
+    before refinement; search_window the time interval actually scanned.
+    The grid scan's work: grid_points in the window, modes_kept by its
+    screen (fidelity._fidelity_bound) with the truncation_bound D on the
+    coherent amplitude, and grid_points_exact, the points evaluated on all
+    modes.
     """
 
     t_star: float
     fidelity: float
     regime: str
-    t_seed: float
     candidate: float
     candidate_fidelity: float
     search_window: tuple[float, float]
@@ -207,15 +217,6 @@ def re_f_sixstate(t, spec: ChainSpec, sd: SpectralData | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def _fbar_at(sd: SpectralData, products: np.ndarray, t: float) -> float:
-    return float(fidelity_grid(sd.eigenvalues, products, float(t), 0.0, 1)[0])
-
-
-# The grid scan's work, as _scan returns it and TransferTimeResult and
-# ScanRecord record it
-_SEARCH_WORK = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
-
-
 def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: float):
     """Best (time, fidelity) of the exact fidelity on np.arange(lo, hi + step, step).
 
@@ -242,7 +243,7 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
 def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float) -> float:
     """Bounded scalar maximization of the exact fidelity around t0."""
     res = minimize_scalar(
-        lambda t: -_fbar_at(sd, products, t),
+        lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
         bounds=(max(0.0, t0 - halfwidth), t0 + halfwidth),
         method="bounded",
         options={"xatol": 1e-8 * max(1.0, t0)},
@@ -256,7 +257,8 @@ def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
     return float((target_phase + 2.0 * np.pi * k) / omega)
 
 
-def _search_rabi(spec: ChainSpec, sd: SpectralData) -> TransferTimeResult:
+def _rabi_window(spec: ChainSpec, sd: SpectralData) -> tuple[float, float, float, float]:
+    """Two fast periods either side of the analytic candidate."""
     N = spec.N
     eps_q, _ = quadruplet_data(spec, sd)
     freqs = rabi_frequencies(eps_q)
@@ -281,24 +283,11 @@ def _search_rabi(spec: ChainSpec, sd: SpectralData) -> TransferTimeResult:
         cand = _nearest_branch(w0m, 0.0, t2)
 
     span = 2.0 * (2.0 * np.pi / w0m)
-    step = np.pi / (20.0 * w0m)
-    lo, hi = max(0.0, cand - span), cand + span
-    products = edge_products(spec, sd)
-    t_best, _, work = _scan(sd, products, lo, hi, step)
-    t_star = _refine(sd, products, t_best, step)
-    return TransferTimeResult(
-        t_star=t_star,
-        fidelity=_fbar_at(sd, products, t_star),
-        regime="rabi",
-        t_seed=float(t1),
-        candidate=float(cand),
-        candidate_fidelity=_fbar_at(sd, products, cand),
-        search_window=(float(lo), float(hi)),
-        **work,
-    )
+    return max(0.0, cand - span), cand + span, np.pi / (20.0 * w0m), cand
 
 
-def _search_quasi_rabi(spec: ChainSpec, sd: SpectralData) -> TransferTimeResult:
+def _quasi_rabi_window(spec: ChainSpec, sd: SpectralData) -> tuple[float, float, float, None]:
+    """From 0 to the longest slow period, with no analytic candidate."""
     eps6, _ = sixstate_data(spec, sd)
     w14p = (eps6[0] + eps6[3]) / 2.0
     w25p = (eps6[1] + eps6[4]) / 2.0
@@ -306,23 +295,9 @@ def _search_quasi_rabi(spec: ChainSpec, sd: SpectralData) -> TransferTimeResult:
     periods = [2.0 * np.pi / abs(w) for w in (w14p, beat) if abs(w) > 1e-12]
     if not periods:
         raise ArithmeticError("all slow frequencies vanished; cannot bound the search")
-    horizon = max(periods)
     # outer four of the six levels, not the quadruplet: see find_transfer_time
     w0m = rabi_frequencies(eps6[[0, 1, 4, 5]]).omega0_minus
-    step = np.pi / (20.0 * w0m)
-    products = edge_products(spec, sd)
-    t_best, F_best, work = _scan(sd, products, 0.0, horizon, step)
-    t_star = _refine(sd, products, t_best, step)
-    return TransferTimeResult(
-        t_star=t_star,
-        fidelity=_fbar_at(sd, products, t_star),
-        regime="quasi-rabi",
-        t_seed=float(np.pi / (2.0 * abs(w14p))) if abs(w14p) > 1e-12 else float("nan"),
-        candidate=t_best,
-        candidate_fidelity=F_best,
-        search_window=(0.0, float(horizon)),
-        **work,
-    )
+    return 0.0, float(max(periods)), np.pi / (20.0 * w0m), None
 
 
 def find_transfer_time(
@@ -330,20 +305,23 @@ def find_transfer_time(
 ) -> TransferTimeResult:
     """Locate the optimal readout time t* and the fidelity there.
 
-    Stage 1 seeds from the slow-envelope structure of the regime, stage 2
-    picks the analytic candidate (fast/slow factor alignment in the Rabi
-    regime, global beat-window scan in the quasi-Rabi one), and stage 3
-    grid-scans the exact average fidelity around it (step pi/(20 omega0-),
-    no aliasing of the fastest frequency) with a final bounded refinement
-    to relative time tolerance 1e-8.  The scan picks the grid point the
-    exact kernel fidelity.fidelity_grid would, without running it over the
-    window: fidelity._fidelity_bound screens every point on the few modes
-    that carry the edge weight, with a certified bound on the rest, and
-    only the points that bound cannot rule out are evaluated on all modes.
-    On the 25 quasi-Rabi windows of the benchmark menu (2.0M points, 6
-    modes kept) that costs about 36 ns per point on one core of a 2-core
-    x86 VM, against about 120 ns for the all-mode grid.  The result unpacks as
-    (t*, Fbar(t*)); its last four fields record the scan's work.
+    The regime sets the window (lo, hi, step) and its analytic candidate:
+    two fast periods either side of the time where the fast and slow
+    factors of the four-state amplitude align (Rabi), or 0 to the longest
+    slow period with the scan's best point as candidate (quasi-Rabi).  The
+    step pi/(20 omega0-) does not alias the fastest frequency.  One tail
+    then grid-scans the exact average fidelity over the window and refines
+    the best point by a bounded scalar search to relative tolerance 1e-8.
+
+    The scan picks the grid point the exact kernel fidelity.fidelity_grid
+    would, without running it over the window: fidelity._fidelity_bound
+    screens every point on the few modes that carry the edge weight, with a
+    certified bound on the rest, and only the points that bound cannot rule
+    out are evaluated on all modes.  On the 25 quasi-Rabi windows of the
+    benchmark menu (2.0M points, 6 modes kept) that costs about 36 ns per
+    point on one core of a 2-core x86 VM, against about 120 ns for the
+    all-mode grid.  The result unpacks as (t*, Fbar(t*)); its last four
+    fields record the scan's work.
 
     In the quasi-Rabi regime omega0- is taken from the outer four of the
     six sixstate_data levels (the lowest two and the highest two; the
@@ -353,60 +331,79 @@ def find_transfer_time(
     """
     if sd is None:
         sd = diagonalize(build_single_particle(spec))
-    if classify_chain(spec.N) == "quasi-rabi":
-        return _search_quasi_rabi(spec, sd)
-    return _search_rabi(spec, sd)
+    regime = classify_chain(spec.N)
+    window = _quasi_rabi_window if regime == "quasi-rabi" else _rabi_window
+    lo, hi, step, cand = window(spec, sd)
+    products = edge_products(spec, sd)
+    t_best, F_best, work = _scan(sd, products, lo, hi, step)
+    t_star = _refine(sd, products, t_best, step)
+    if cand is None:
+        cand, F_cand = t_best, F_best
+    else:
+        F_cand = _fidelity_at(sd.eigenvalues, products, cand)[0]
+    return TransferTimeResult(
+        t_star=t_star,
+        fidelity=_fidelity_at(sd.eigenvalues, products, t_star)[0],
+        regime=regime,
+        candidate=float(cand),
+        candidate_fidelity=F_cand,
+        search_window=(float(lo), float(hi)),
+        **work,
+    )
+
+
+def transfer_record(spec: ChainSpec) -> ScanRecord:
+    """The transfer-time row of one chain: t*, its fidelities and t1.
+
+    F_exact and F_approx come from the same edge amplitudes at t*.  t1 is
+    the closed-form Rabi estimate, nan for a quasi-Rabi chain or h = 0.
+    """
+    sd = diagonalize(build_single_particle(spec))
+    res = find_transfer_time(spec, sd)
+    F, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.t_star)
+    has_t1 = res.regime == "rabi" and spec.h > 0
+    return ScanRecord(
+        N=spec.N,
+        h=spec.h,
+        regime=res.regime,
+        t_star=res.t_star,
+        F_exact=F,
+        F_approx=average_fidelity_approx(f11, f12, f21),
+        t1_estimate=transfer_time_estimate(spec.N, spec.h) if has_t1 else _NAN,
+        search_window=res.search_window,
+        candidate=res.candidate,
+        candidate_fidelity=res.candidate_fidelity,
+        **{key: getattr(res, key) for key in _SEARCH_WORK},
+    )
 
 
 def scan(base: ChainSpec, axis: str, values) -> list[ScanRecord]:
-    """Sweep h or N, finding t* and the fidelities at each point.
+    """transfer_record of base at each h or N of values.
 
-    Points are computed independently in input order; a failing point is
-    recorded with NaNs and its error message instead of aborting the scan.
+    Along h the chain keeps its couplings and its sender, receiver and
+    barrier sites, and the barrier fields follow h; custom fields are
+    rejected, since h would not reach them.  Along N only the default
+    geometry is defined, so any other is rejected.  Points are computed
+    independently in input order; a failing point is recorded with NaNs
+    and its error message instead of aborting the scan.
     """
     if axis not in ("h", "N"):
         raise ValueError(f"axis must be 'h' or 'N', got {axis!r}")
     values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
+    if axis == "h" and base.fields != replace(base, fields=None).fields:
+        raise ValueError("a scan over h needs the barrier fields, not custom fields")
+    if axis == "N" and base != ChainSpec(N=base.N, h=base.h):
+        raise ValueError("a scan over N needs the default chain geometry")
     records = []
     for v in values:
         N = base.N if axis == "h" else int(v)
         h = float(v) if axis == "h" else base.h
         try:
-            spec = ChainSpec(N=N, h=h)
-            sd = diagonalize(build_single_particle(spec))
-            res = find_transfer_time(spec, sd)
-            products = edge_products(spec, sd)
-            f11, f12, f21, _ = np.exp(-1j * sd.eigenvalues * res.t_star) @ products
-            f_approx = average_fidelity_approx(f11, f12, f21)
-            regime = classify_chain(N)
-            t1 = transfer_time_estimate(N, h) if regime == "rabi" else float("nan")
-            records.append(
-                ScanRecord(
-                    N=N,
-                    h=h,
-                    regime=regime,
-                    t_star=res.t_star,
-                    F_exact=res.fidelity,
-                    F_approx=f_approx,
-                    t1_estimate=t1,
-                    search_window=res.search_window,
-                    **{key: getattr(res, key) for key in _SEARCH_WORK},
-                )
-            )
+            spec = replace(base, h=h, fields=None) if axis == "h" else ChainSpec(N=N, h=h)
+            records.append(transfer_record(spec))
         except Exception as exc:  # record the failure, keep scanning
-            records.append(
-                ScanRecord(
-                    N=N,
-                    h=h,
-                    regime=classify_chain(N) if N >= 6 else "invalid",
-                    t_star=float("nan"),
-                    F_exact=float("nan"),
-                    F_approx=float("nan"),
-                    t1_estimate=float("nan"),
-                    search_window=(float("nan"), float("nan")),
-                    error=str(exc),
-                )
-            )
+            regime = classify_chain(N) if N >= 6 else "invalid"
+            records.append(ScanRecord(N=N, h=h, regime=regime, error=str(exc)))
     return records

@@ -202,6 +202,59 @@ class TestOutputs:
         _, header, _ = read_csv(outdir / "scan.csv")
         assert not set(work) & set(header)
 
+    def test_transfer_time_manifest_keys(self, outdir):
+        assert run(["transfer-time", "--N", "30", "--h", "60"]) == 0
+        diag = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())["diagnostics"]
+        assert list(diag) == [
+            "candidate", "candidate_fidelity",
+            "modes_kept", "truncation_bound", "grid_points", "grid_points_exact",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--senders", "4,5", "--receivers", "26,27"],
+            ["--couplings", ",".join(str(1.0 + 0.01 * (k % 5)) for k in range(29))],
+            ["--barriers", "4,27"],
+        ],
+        ids=["sites", "couplings", "barriers"],
+    )
+    def test_one_point_scan_is_the_transfer_time_row(self, outdir, flags):
+        assert run(["transfer-time", "--N", "30", "--h", "60", *flags]) == 0
+        _, header, (row,) = read_csv(outdir / "transfer_time.csv")
+        assert run(["scan", "--N", "30", "--axis", "h", "--values", "60", *flags]) == 0
+        _, scan_header, (scan_row,) = read_csv(outdir / "scan.csv")
+        assert scan_header == header + ["error"]
+        assert scan_row == row + [""]
+
+    def test_zero_field_scan_is_the_transfer_time_row(self, outdir):
+        assert run(["transfer-time", "--N", "30", "--h", "0"]) == 0
+        _, _, (row,) = read_csv(outdir / "transfer_time.csv")
+        assert run(["scan", "--N", "30", "--axis", "h", "--values", "0"]) == 0
+        _, _, (scan_row,) = read_csv(outdir / "scan.csv")
+        assert scan_row == row + [""]
+        assert row[6] == "nan"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--axis", "N", "--values", "30", "--senders", "4,5"],
+            ["--axis", "N", "--values", "30", "--h", "60", "--barriers", "4,27"],
+            ["--axis", "h", "--values", "60", "--fields", ",".join(["0"] * 29 + ["1"])],
+        ],
+        ids=["N-senders", "N-barriers", "h-fields"],
+    )
+    def test_scan_rejects_what_its_axis_cannot_carry(self, outdir, capsys, argv):
+        assert run(["scan", "--N", "30", *argv]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not (outdir / "scan.csv").exists()
+
+    def test_spectrum_names_extended_states(self, outdir):
+        for N, extended in ((50, [17, 34]), (46, None)):
+            assert run(["spectrum", "--N", str(N), "--h", "100", "--full"]) == 0
+            diag = json.loads((outdir / "spectrum.csv.manifest.json").read_text())["diagnostics"]
+            assert diag.get("extended_indices") == extended
+
     def test_perturb_quasi_rabi_rejected(self, capsys):
         assert run(["perturb", "--N", "29", "--h", "50"]) == 1
 

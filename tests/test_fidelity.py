@@ -12,6 +12,7 @@ from xxchain.fidelity import (
     _MC_BLOCK,
     WorstCaseBudgetWarning,
     _channel_data,
+    _fidelity_at,
     _fidelity_bound,
     _fidelity_points,
     _fidelity_samples,
@@ -167,6 +168,21 @@ class TestFidelityGrid:
             assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
             points = _fidelity_points(sd.eigenvalues, products, t0, step, n, np.arange(n))
             np.testing.assert_allclose(points, grid, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_single_time_against_grid_and_channel(self, seed):
+        # the one-time evaluator of the t* refinement and the transfer rows
+        # against a one-point grid and the ten-term channel amplitudes
+        spec, t0, _ = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        F, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, products, t0)
+        assert isinstance(F, float)
+        assert abs(F - fidelity_grid(sd.eigenvalues, products, t0, 0.0, 1)[0]) <= 1e-14
+        bd = average_fidelity_exact(spec, t0, sd)
+        assert abs(F - bd.value) <= 1e-12
+        amps = (bd.amplitudes[k] for k in ("f11", "f12", "f21", "f22"))
+        np.testing.assert_allclose((f11, f12, f21, f22), list(amps), rtol=0.0, atol=1e-12)
 
     def test_random_grids_cover_full_and_truncated_screens(self):
         # the seeds above include screens that keep every mode (D = 0) and

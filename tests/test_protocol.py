@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_chain
-from xxchain.amplitudes import propagator_rows
+from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
-from xxchain.fidelity import _GRID_BLOCK, edge_products, fidelity_grid
+from xxchain.fidelity import _GRID_BLOCK, average_fidelity_approx, edge_products, fidelity_grid
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
 from xxchain.protocol import (
     _scan,
@@ -17,6 +17,7 @@ from xxchain.protocol import (
     re_f_sixstate,
     scan,
     sixstate_data,
+    transfer_record,
 )
 from xxchain.spectral import diagonalize, localized_indices
 
@@ -221,3 +222,69 @@ class TestScan:
     def test_empty_values(self):
         with pytest.raises(ValueError):
             scan(ChainSpec(N=12), "h", [])
+
+
+class TestTransferRecord:
+    @pytest.mark.parametrize("N, h", [(30, 60.0), (31, 40.0), (29, 100.0)])
+    def test_fields(self, N, h):
+        spec = ChainSpec(N=N, h=h)
+        sd = diagonalize(build_single_particle(spec))
+        res = find_transfer_time(spec, sd)
+        rec = transfer_record(spec)
+        assert (rec.t_star, rec.F_exact, rec.regime) == (res.t_star, res.fidelity, res.regime)
+        assert (rec.candidate, rec.candidate_fidelity) == (res.candidate, res.candidate_fidelity)
+        assert rec.search_window == res.search_window and rec.error == ""
+        # F_approx against the amplitudes of the full propagator
+        amp = propagator(sd, res.t_star)
+        fa = average_fidelity_approx(amp.entry(1, N - 1), amp.entry(1, N), amp.entry(2, N - 1))
+        assert abs(rec.F_approx - fa) <= 1e-12
+        if res.regime == "rabi":
+            assert rec.t1_estimate == transfer_time_estimate(N, h)
+        else:
+            assert np.isnan(rec.t1_estimate)
+
+
+class TestScanGeometry:
+    # a record holds nan where it has no value, so compare reprs
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ChainSpec(N=30, h=60.0, senders=(4, 5), receivers=(26, 27)),
+            ChainSpec(N=30, h=60.0, couplings=tuple(np.linspace(0.9, 1.1, 29))),
+            ChainSpec(N=30, h=60.0, barriers=(4, 27)),
+        ],
+        ids=["sites", "couplings", "barriers"],
+    )
+    def test_h_axis_keeps_the_chain(self, base):
+        rec = scan(base, "h", [60.0, 80.0])
+        assert repr(rec[0]) == repr(transfer_record(base))
+        moved = ChainSpec(N=30, h=80.0, couplings=base.couplings, senders=base.senders,
+                          receivers=base.receivers, barriers=base.barriers)
+        assert repr(rec[1]) == repr(transfer_record(moved))
+
+    def test_zero_field_point_is_a_row(self):
+        (rec,) = scan(ChainSpec(N=30, h=60.0), "h", [0.0])
+        assert repr(rec) == repr(transfer_record(ChainSpec(N=30, h=0.0)))
+        assert rec.error == "" and np.isnan(rec.t1_estimate)
+
+    def test_h_axis_rejects_custom_fields(self):
+        def fields(*sites):
+            return [60.0 if n in sites else 0.0 for n in range(1, 31)]
+
+        with pytest.raises(ValueError, match="fields"):
+            scan(ChainSpec(N=30, h=60.0, fields=fields(3, 27)), "h", [60.0])
+        # fields equal to the barrier profile are not custom
+        (rec,) = scan(ChainSpec(N=30, h=60.0, fields=fields(3, 28)), "h", [60.0])
+        assert repr(rec) == repr(transfer_record(ChainSpec(N=30, h=60.0)))
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ChainSpec(N=30, h=60.0, senders=(4, 5)),
+            ChainSpec(N=30, h=60.0, barriers=(4, 27)),
+            ChainSpec(N=30, h=60.0, couplings=(1.1,) * 29),
+        ],
+    )
+    def test_N_axis_rejects_other_geometries(self, base):
+        with pytest.raises(ValueError, match="default chain geometry"):
+            scan(base, "N", [30])
