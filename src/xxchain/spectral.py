@@ -51,7 +51,7 @@ def diagonalize(m: SymTridiag) -> SpectralData:
             w, v = eigh_tridiagonal(d, e)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise RuntimeError(f"tridiagonal eigensolver failed to converge: {exc}")
-    vecs = v.T.copy()  # rows = eigenstates
+    vecs = v.T  # rows = eigenstates, C-contiguous: v is Fortran-ordered
     # the first entry of each row with magnitude above 1e-12; argmax gives 0
     # for a row with none, and that entry fails the threshold test below
     first = ((vecs > 1e-12) | (vecs < -1e-12)).argmax(axis=1)

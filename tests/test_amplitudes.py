@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,53 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator_rows(sd, [1, site], [1.0])
 
+    @staticmethod
+    def _chains():
+        yield "N=1", SymTridiag((0.7,), ())
+        yield "N=2", SymTridiag((0.3, -0.5), (-1.0,))
+        for N in (9, 46, 400):
+            yield f"N={N}", build_single_particle(ChainSpec(N=N, h=100.0))
+        # couplings and fields with no mirror symmetry
+        yield "non-palindromic", build_single_particle(ChainSpec(
+            N=11,
+            couplings=tuple(0.5 + 0.13 * k for k in range(10)),
+            fields=tuple(0.7 * (k % 4) + 0.05 * k for k in range(11)),
+        ))
+        # a zero coupling splits the chain into two equal uniform halves,
+        # whose identical spectra make every level doubly degenerate
+        yield "zero coupling", SymTridiag((0.0,) * 8, (-2.0,) * 3 + (0.0,) + (-2.0,) * 3)
+
+    @pytest.mark.parametrize("t", [0.0, 2.3, 1234.5, 1e5])
+    def test_matches_every_row(self, t):
+        # the two symmetric products against the phase sum evaluated row by
+        # row; both are exact up to roundoff, so the entries agree to 1e-13
+        for name, m in self._chains():
+            sd = diagonalize(m)
+            f = propagator(sd, t).f
+            rows = propagator_rows(sd, np.arange(1, sd.n + 1), [t])[0]
+            assert np.max(np.abs(f - rows)) <= 1e-13, name
+            assert np.array_equal(f, f.T), name
+
+    def test_scratch_memory(self):
+        # the result plus one real N x N factor: 1.5x the result's size
+        sd = diagonalize(build_single_particle(ChainSpec(N=400, h=100.0)))
+        propagator(sd, 1.0)
+        tracemalloc.start()
+        try:
+            f = propagator(sd, 1234.5).f
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * f.nbytes
+
+    @pytest.mark.parametrize("site", [0, -1, 10])
+    def test_entry_rejects_sites_outside_chain(self, site):
+        amp = propagator(diagonalize(build_single_particle(ChainSpec(N=9, h=6.0))), 1.0)
+        with pytest.raises(ValueError, match=f"site {site} outside chain"):
+            amp.entry(site, 1)
+        with pytest.raises(ValueError, match=f"site {site} outside chain"):
+            amp.entry(1, site)
+
 
 class TestTwoParticle:
     def test_identity_at_zero(self):
@@ -103,6 +152,13 @@ class TestTwoParticle:
             two_particle(amp, 2, 1, 7, 8)
         with pytest.raises(ValueError):
             two_particle(amp, 1, 2, 8, 8)
+
+    @pytest.mark.parametrize("pairs", [(0, 2, 1, 2), (-1, 2, 1, 2), (1, 2, 7, 9), (1, 9, 1, 2)])
+    def test_sites_outside_chain_rejected(self, pairs):
+        sd = diagonalize(build_single_particle(ChainSpec(N=8, h=3.0)))
+        amp = propagator(sd, 1.0)
+        with pytest.raises(ValueError, match="outside chain"):
+            two_particle(amp, *pairs)
 
     def test_row_swap_flips_sign(self):
         # computing the determinant with source rows exchanged negates it

@@ -70,7 +70,9 @@ class TestDiagonalize:
             nz = np.nonzero(np.abs(row) > 1e-12)[0]
             if len(nz) and row[nz[0]] < 0:
                 ref[k] = -row
-        np.testing.assert_array_equal(diagonalize(m).eigenvectors, ref)
+        vecs = diagonalize(m).eigenvectors
+        np.testing.assert_array_equal(vecs, ref)
+        assert vecs.flags.c_contiguous
 
     def test_deterministic(self):
         m = build_single_particle(ChainSpec(N=11, h=6.0))
