@@ -18,6 +18,7 @@ interior channel.  Sites are 1-based at every public interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class ChainSpec:
             raise ValueError(f"N must be an integer >= 6, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "h", float(self.h))
+        if not math.isfinite(self.h):
+            raise ValueError(f"barrier field h must be finite, got {self.h}")
         if self.h < 0:
             raise ValueError(f"barrier field h must be >= 0, got {self.h}")
         N = self.N
@@ -75,12 +78,16 @@ class ChainSpec:
             raise ValueError(
                 f"couplings must have length N-1 = {N - 1}, got {len(self.couplings)}"
             )
+        if not all(map(math.isfinite, self.couplings)):
+            raise ValueError("all couplings must be finite")
         if any(j <= 0 for j in self.couplings):
             raise ValueError("all couplings must be positive")
         if len(self.fields) != N:
             raise ValueError(
                 f"fields must have length N = {N}, got {len(self.fields)}"
             )
+        if not all(map(math.isfinite, self.fields)):
+            raise ValueError("all fields must be finite")
 
         s1, s2 = self.senders
         r1, r2 = self.receivers

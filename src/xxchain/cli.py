@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 import warnings
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .amplitudes import channel_occupation, propagator, propagator_rows, two_particle
@@ -155,6 +157,23 @@ def _output_path(args, default_name: str) -> str:
     return os.path.join(outdir, default_name)
 
 
+# BLAS thread settings the manifest records, unset ones as null
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Library versions and thread settings of the run, for its manifest.
+
+    Reads only modules that importing xxchain has loaded already.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in _THREAD_VARS},
+    }
+
+
 def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
     """Write the data file (CSV or JSON) and its JSON run-manifest."""
     path = _output_path(args, f"{args.subcommand.replace('-', '_')}.csv")
@@ -197,6 +216,7 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
         },
         "output": path,
         "wall_time_s": time.perf_counter() - t0 if t0 is not None else None,
+        "environment": _environment(),
         "diagnostics": diagnostics or {},
     }
     with open(path + ".manifest.json", "w") as fh:

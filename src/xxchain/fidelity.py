@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .amplitudes import propagator_rows
 from .chain import ChainSpec, build_single_particle
@@ -577,6 +576,10 @@ def worst_case_fidelity(
     Returns (worst state, minimal fidelity); the state's fidelity is the
     returned value.
     """
+    # imported here, not with the module: scipy.optimize adds about 40% to
+    # the import time of xxchain and 20 MB, which only this search needs
+    from scipy.optimize import minimize
+
     forms = _state_forms(_channel_data(spec, t, sd, receiver_order))
     rng = np.random.default_rng(seed)
 

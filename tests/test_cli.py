@@ -1,10 +1,11 @@
 import json
 import os
-
+import platform
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 import xxchain.cli as cli_module
 from xxchain.amplitudes import propagator, two_particle
@@ -95,6 +96,30 @@ class TestExitCodes:
         assert run(["fidelity", "--N", "8", "--h", "3", "--seed", "1"] + argv) == 1
         assert "error:" in capsys.readouterr().err
         assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--h", "nan"],
+            ["--h", "inf"],
+            ["--couplings", ",".join(["1"] * 14 + ["nan"] + ["1"] * 14)],
+            ["--fields", ",".join(["0"] * 29 + ["inf"])],
+        ],
+        ids=["h-nan", "h-inf", "couplings-nan", "fields-inf"],
+    )
+    def test_nonfinite_spec_rejected(self, flags, outdir, capsys):
+        assert run(["transfer-time", "--N", "30", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error: invalid chain spec" in err and "must be finite" in err
+        assert "Traceback" not in err
+        assert not list(outdir.iterdir())
+
+    def test_nonfinite_scan_point_is_an_error_row(self, outdir):
+        argv = ["scan", "--N", "30", "--axis", "h", "--values", "nan,60", "--format", "json"]
+        assert run(argv) == 0
+        payload = json.loads((outdir / "scan.json").read_text())
+        errors = [dict(zip(payload["columns"], row))["error"] for row in payload["rows"]]
+        assert errors == ["barrier field h must be finite, got nan", ""]
 
     def test_nonfinite_amplitudes_time_rejected(self, outdir, capsys):
         assert run(["amplitudes", "--N", "8", "--t", "1e400"]) == 1
@@ -202,13 +227,24 @@ class TestOutputs:
         _, header, _ = read_csv(outdir / "scan.csv")
         assert not set(work) & set(header)
 
-    def test_transfer_time_manifest_keys(self, outdir):
+    def test_transfer_time_manifest_keys(self, outdir, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         assert run(["transfer-time", "--N", "30", "--h", "60"]) == 0
-        diag = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())["diagnostics"]
-        assert list(diag) == [
+        manifest = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())
+        assert list(manifest["diagnostics"]) == [
             "candidate", "candidate_fidelity",
             "modes_kept", "truncation_bound", "grid_points", "grid_points_exact",
         ]
+        env = manifest["environment"]
+        assert list(env) == [
+            "python", "numpy", "scipy",
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        ]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     @pytest.mark.parametrize(
         "flags",

@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
-import xxchain.fidelity as fidelity_module
 from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
@@ -370,7 +370,7 @@ class TestWorstCase:
             x = np.roll(x0, 3)
             return OptimizeResult(x=x, fun=1.0, success=False)
 
-        monkeypatch.setattr(fidelity_module, "minimize", stalled)
+        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
         spec, t = ChainSpec(N=8, h=6.0), 4.4
         with pytest.warns(WorstCaseBudgetWarning, match="budget"):
             state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)

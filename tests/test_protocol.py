@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import random_grid_chain
 from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import _GRID_BLOCK, average_fidelity_approx, edge_products, fidelity_grid
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
+from xxchain.fidelity import _fidelity_at
 from xxchain.protocol import (
+    _bounded_brent,
+    _refine,
     _scan,
     find_transfer_time,
     quadruplet_data,
@@ -189,6 +193,78 @@ class TestPrunedScan:
         assert 0.0 < res.truncation_bound < 4e-3
         assert res.grid_points > 50000
         assert 1 <= res.grid_points_exact <= 0.05 * res.grid_points
+
+
+def traced(func, calls):
+    def wrapped(x):
+        calls.append(float(x))
+        return func(x)
+
+    return wrapped
+
+
+class TestBoundedBrent:
+    # the in-module port against the SciPy routine it was ported from: the
+    # same evaluation points in the same order, and the same minimizer bit
+    # for bit
+
+    def scipy_argmin(self, func, lo, hi, xatol):
+        res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        return float(res.x)
+
+    def assert_same_as_scipy(self, func, lo, hi, xatol):
+        ours, theirs = [], []
+        x = _bounded_brent(traced(func, ours), lo, hi, xatol)
+        x_ref = self.scipy_argmin(traced(func, theirs), lo, hi, xatol)
+        assert x.hex() == x_ref.hex()
+        assert [t.hex() for t in ours] == [t.hex() for t in theirs]
+        return ours
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_refine_matches_scipy(self, seed):
+        spec, t0, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        x_ref = self.scipy_argmin(
+            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
+            max(0.0, t0 - step), t0 + step, 1e-8 * max(1.0, t0),
+        )
+        assert _refine(sd, products, t0, step).hex() == x_ref.hex()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_evaluations_as_scipy(self, seed):
+        spec, t0, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        self.assert_same_as_scipy(
+            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
+            t0 - step, t0 + step, 1e-8 * t0,
+        )
+
+    @pytest.mark.parametrize("t0", [0.0, 0.3, 2.0])
+    def test_bracket_clipped_at_zero(self, t0):
+        # halfwidth 2.5 > t0, so _refine searches [0, t0 + 2.5]
+        spec = ChainSpec(N=12, h=3.0)
+        sd = diagonalize(build_single_particle(spec))
+        products = edge_products(spec, sd)
+        func = lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0]  # noqa: E731
+        x_ref = self.scipy_argmin(func, 0.0, t0 + 2.5, 1e-8)
+        assert _refine(sd, products, t0, 2.5).hex() == x_ref.hex()
+        self.assert_same_as_scipy(func, 0.0, t0 + 2.5, 1e-8)
+
+    def test_constant_objective(self):
+        self.assert_same_as_scipy(lambda t: 1.0, 0.0, 5.0, 1e-8)
+
+    def test_evaluation_cap(self):
+        # |x| with xatol = 0 never meets the stopping rule near x = 0
+        ours = self.assert_same_as_scipy(abs, -1.0, 1.0, 0.0)
+        assert len(ours) == 500
+
+    def test_bad_bounds_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            _bounded_brent(abs, float("nan"), 1.0, 1e-8)
+        with pytest.raises(ValueError, match="exceeds"):
+            _bounded_brent(abs, 1.0, 0.0, 1e-8)
 
 
 class TestScan:
