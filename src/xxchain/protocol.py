@@ -256,8 +256,6 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) 
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
 
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
