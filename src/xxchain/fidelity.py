@@ -576,8 +576,8 @@ def worst_case_fidelity(
     Returns (worst state, minimal fidelity); the state's fidelity is the
     returned value.
     """
-    # imported here, not with the module: scipy.optimize adds about 40% to
-    # the import time of xxchain and 20 MB, which only this search needs
+    # imported here, not with the module: only this search needs
+    # scipy.optimize, and the README gives its import cost
     from scipy.optimize import minimize
 
     forms = _state_forms(_channel_data(spec, t, sd, receiver_order))

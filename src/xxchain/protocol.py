@@ -240,19 +240,52 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> float:
+# _bounded_brent is ported from SciPy, whose licence asks that this notice
+# be kept with it:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
     """Minimizer of func on [lo, hi] by Brent's bounded method.
 
     A port of _minimize_scalar_bounded from SciPy 1.17
-    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003 SciPy Developers), which
+    (scipy/optimize/_optimize.py; BSD-3-Clause, notice above), which
     scipy.optimize.minimize_scalar(method="bounded") runs: golden-section
     steps, parabolic steps where the last three points allow them, and at
-    most maxfun evaluations.  The arithmetic is kept in SciPy's order, so
-    the minimizer is the one SciPy returns bit for bit; its disp output,
-    options and result object are left out.  Importing scipy.optimize would
-    add about 40% to the import time of xxchain and 20 MB of memory (2-core
-    x86 VM), far more than a t* search spends here.
+    most 500 evaluations, SciPy's default cap.  The arithmetic is kept in
+    SciPy's order, so the minimizer is the one SciPy returns bit for bit;
+    its disp output, options and result object are left out.  The README
+    gives why scipy.optimize is not imported for this.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("Optimization bounds must be finite scalars.")
@@ -333,7 +366,7 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float, maxfun: int = 500) 
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxfun:
+        if num >= 500:
             break
 
     return xf
@@ -415,10 +448,7 @@ def find_transfer_time(
     slow period with the scan's best point as candidate (quasi-Rabi).  The
     step pi/(20 omega0-) does not alias the fastest frequency.  One tail
     then grid-scans the exact average fidelity over the window and refines
-    the best point within one step either side (clipped at t = 0) by
-    _refine, Brent's bounded method ported in-module from SciPy, to the
-    absolute tolerance 1e-8 max(1, t).  It returns SciPy's minimize_scalar
-    result bit for bit without importing scipy.optimize.
+    the best point by _refine within one step either side.
 
     The scan picks the grid point the exact kernel fidelity.fidelity_grid
     would, without running it over the window: fidelity._fidelity_bound

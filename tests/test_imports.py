@@ -1,8 +1,8 @@
 """scipy.optimize stays off the import path and off the t* search path.
 
-Importing it costs about 140 ms and 20 MB, more than most t* searches;
-only the worst-case search (L-BFGS-B) needs it.  Each check runs in a fresh
-interpreter, since this test session has imported scipy.optimize already.
+Only the worst-case search (L-BFGS-B) needs it; the README gives its
+import cost.  Each check runs in a fresh interpreter, since this test
+session has imported scipy.optimize already.
 """
 
 import os

@@ -5,9 +5,14 @@ from scipy.optimize import minimize_scalar
 from conftest import random_grid_chain
 from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
-from xxchain.fidelity import _GRID_BLOCK, average_fidelity_approx, edge_products, fidelity_grid
+from xxchain.fidelity import (
+    _GRID_BLOCK,
+    _fidelity_at,
+    average_fidelity_approx,
+    edge_products,
+    fidelity_grid,
+)
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
-from xxchain.fidelity import _fidelity_at
 from xxchain.protocol import (
     _bounded_brent,
     _refine,
