@@ -13,6 +13,7 @@ from .spectral import (
     SpectralData,
     classify_chain,
     diagonalize,
+    edge_modes,
     extended_indices,
     localization_profile,
     localized_indices,
@@ -54,8 +55,6 @@ from .protocol import (
     ScanRecord,
     find_transfer_time,
     quasi_rabi_coefficients,
-    re_f_fourstate,
-    re_f_fourstate_factored,
-    re_f_sixstate,
+    re_f_truncated,
     scan,
 )

@@ -10,6 +10,7 @@ success, 1 on validation errors, 2 when the verification suite fails.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import platform
@@ -114,7 +115,7 @@ def _resolve_spec(args) -> ChainSpec:
     h = pick("h", args.h)
     if N is None:
         raise CliError("chain length N is required (flag --N or config key N)")
-    kwargs = {"N": int(N), "h": float(h) if h is not None else 0.0}
+    kwargs = {}
     for name, cast in (
         ("couplings", float),
         ("fields", float),
@@ -126,7 +127,7 @@ def _resolve_spec(args) -> ChainSpec:
         if raw is not None:
             kwargs[name] = tuple(_parse_list(raw, cast))
     try:
-        return ChainSpec(**kwargs)
+        return ChainSpec(N=int(N), h=float(h) if h is not None else 0.0, **kwargs)
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid chain spec: {exc}")
 
@@ -198,12 +199,12 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
             json.dump(payload, fh, indent=2, default=str)
             fh.write("\n")
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
     manifest = {
         "tool": "xxchain",
         "version": __version__,

@@ -40,20 +40,17 @@ class PerturbativeSpectrum:
 class RabiFrequencies:
     """Sum/difference frequency combinations of the quadruplet.
 
-    omega0 combinations set the fast oscillation, omega1 the slow envelope
-    whose quarter period is the transfer time; for h >> 1 the strict
-    hierarchy omega0_minus > omega0_plus > omega1_minus > omega1_plus
-    holds.
+    Built from the mirror-pair frequencies omega_ij^{+/-} = (eps_i +/- eps_j)/2
+    of the (1,4) and (2,3) pairings, which are not kept.  omega0
+    combinations set the fast oscillation, omega1 the slow envelope whose
+    quarter period is the transfer time; for h >> 1 the strict hierarchy
+    omega0_minus > omega0_plus > omega1_minus > omega1_plus holds.
     """
 
     omega0_plus: float
     omega0_minus: float
     omega1_plus: float
     omega1_minus: float
-    omega14_plus: float
-    omega14_minus: float
-    omega23_plus: float
-    omega23_minus: float
 
 
 def cubic_roots(h: float) -> tuple[float, float, float]:
@@ -151,10 +148,6 @@ def rabi_frequencies(eps_q) -> RabiFrequencies:
         omega0_minus=abs((w14m + w23m) / 2.0),
         omega1_plus=abs((w14p - w23p) / 2.0),
         omega1_minus=abs((w14m - w23m) / 2.0),
-        omega14_plus=w14p,
-        omega14_minus=w14m,
-        omega23_plus=w23p,
-        omega23_minus=w23m,
     )
 
 

@@ -1,13 +1,15 @@
-"""Optimal readout times, truncated-amplitude approximations and scans.
+"""Optimal readout times, the truncated mirror amplitude and scans.
 
-In the Rabi regime (N != 3n - 1) the mirror transfer amplitude is carried
-by the localized quadruplet alone: a fast oscillation at omega0_minus ~ 2J
-modulated by the slow envelope sin(omega1_minus t), so the readout time
-sits near the envelope's first quarter period t1 = pi/(2 omega1_minus) ~
-(pi/2) h^2.  At N = 3n - 1 (quasi-Rabi) two extended states join in and
-the optimum instead tracks a beat between two nearly equal slow
-frequencies, scaling linearly in h and N.  The search below seeds from
-these structures and refines on the exact average fidelity.
+The mirror transfer amplitude is carried by the few eigenmodes that hold
+the edge weight, spectral.edge_modes; re_f_truncated sums over them.  In
+the Rabi regime (N != 3n - 1) they are the localized quadruplet: a fast
+oscillation at omega0_minus ~ 2J modulated by the slow envelope
+sin(omega1_minus t), so the readout time sits near the envelope's first
+quarter period t1 = pi/(2 omega1_minus) ~ (pi/2) h^2.  At N = 3n - 1
+(quasi-Rabi) two extended states join in and the optimum instead tracks a
+beat between two nearly equal slow frequencies, scaling linearly in h and
+N.  The search below reads its window from these levels and refines on the
+exact average fidelity.
 """
 
 from __future__ import annotations
@@ -25,14 +27,8 @@ from .fidelity import (
     average_fidelity_approx,
     edge_products,
 )
-from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
-from .spectral import (
-    SpectralData,
-    classify_chain,
-    diagonalize,
-    extended_indices,
-    localized_indices,
-)
+from .perturbation import rabi_frequencies, transfer_time_estimate
+from .spectral import SpectralData, classify_chain, diagonalize, edge_modes
 
 
 @dataclass(frozen=True)
@@ -118,102 +114,19 @@ def quasi_rabi_coefficients(N: int) -> QuasiRabiCoefficients:
     return QuasiRabiCoefficients(c1=0.25 - c3, c2=0.25, c3=c3)
 
 
-def quadruplet_data(spec: ChainSpec, sd: SpectralData | None = None):
-    """Exact quadruplet energies and edge amplitude products.
+def re_f_truncated(t, spec: ChainSpec, sd: SpectralData | None = None):
+    """Truncated mirror amplitude Re[f_{s1}^{r1}](t) on the edge modes.
 
-    Returns (eps_q, products): the four localized eigenvalues in ascending
-    order and the products a_{k,s1} a_{k,r1} entering the truncated mirror
-    amplitude.
+    Re sum_k a_{k,s1} a_{k,r1} exp(-i eps_k t) over spectral.edge_modes:
+    the paper's four-state truncation in the Rabi regime (error O(1/h))
+    and its six-state truncation at N = 3n - 1.
     """
     if sd is None:
         sd = diagonalize(build_single_particle(spec))
-    idx = [k - 1 for k in localized_indices(spec.N)]
-    eps_q = sd.eigenvalues[idx]
-    s1 = spec.senders[0] - 1
-    r1 = spec.receivers[0] - 1
-    products = sd.eigenvectors[idx, s1] * sd.eigenvectors[idx, r1]
-    return eps_q, products
-
-
-def sixstate_data(spec: ChainSpec, sd: SpectralData | None = None):
-    """Energies and edge products of quadruplet plus extended states.
-
-    Quasi-Rabi only; the six levels come back in ascending order so that
-    (1,4), (2,5), (3,6) are the mirror pairings.
-    """
-    if classify_chain(spec.N) != "quasi-rabi":
-        raise ValueError(f"N = {spec.N} is not quasi-Rabi (N = 3n - 1)")
-    if sd is None:
-        sd = diagonalize(build_single_particle(spec))
-    idx = sorted(
-        [k - 1 for k in localized_indices(spec.N)]
-        + [k - 1 for k in extended_indices(spec.N)]
-    )
-    eps = sd.eigenvalues[idx]
-    s1 = spec.senders[0] - 1
-    r1 = spec.receivers[0] - 1
-    products = sd.eigenvectors[idx, s1] * sd.eigenvectors[idx, r1]
-    return eps, products
-
-
-def re_f_fourstate(t, eps_q, a_coeffs):
-    """Four-state truncation of the mirror amplitude Re[f_{s1}^{r1}](t).
-
-    Evaluates Re[sum_i a_i exp(-i eps_i t)] with real products a_i; valid
-    in the Rabi regime where the quadruplet carries all of the edge
-    dynamics (error O(1/h)).
-    """
+    idx = edge_modes(spec.N)
+    products = edge_products(spec, sd)[idx, 0]
     t = np.asarray(t, dtype=float)
-    eps_q = np.asarray(eps_q, dtype=float)
-    a = np.asarray(a_coeffs, dtype=float)
-    out = np.cos(np.multiply.outer(t, eps_q)) @ a
-    return float(out) if out.ndim == 0 else out
-
-
-def re_f_fourstate_factored(t, eps_q, a_coeffs):
-    """Trigonometric factored form of the four-state truncation.
-
-    Exact regrouping of the (1,4) and (2,3) mirror pairs into sum and
-    difference frequencies; algebraically identical to re_f_fourstate.
-    """
-    t = np.asarray(t, dtype=float)
-    e1, e2, e3, e4 = (float(e) for e in eps_q)
-    p1, p2, p3, p4 = (float(p) for p in a_coeffs)
-    w14p, w14m = (e1 + e4) / 2.0, (e1 - e4) / 2.0
-    w23p, w23m = (e2 + e3) / 2.0, (e2 - e3) / 2.0
-    out = (
-        (p1 + p4) * np.cos(w14p * t) * np.cos(w14m * t)
-        - (p1 - p4) * np.sin(w14p * t) * np.sin(w14m * t)
-        + (p2 + p3) * np.cos(w23p * t) * np.cos(w23m * t)
-        - (p2 - p3) * np.sin(w23p * t) * np.sin(w23m * t)
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def re_f_fourstate_envelope(t, freqs: RabiFrequencies, N: int):
-    """Idealized unit-amplitude envelope form of the four-state amplitude.
-
-    sign * sin(omega0- t) cos(omega0+ t) sin(omega1- t) cos(omega1+ t) with
-    sign = (-1)^{(N mod 3) + 1}; assumes equal-magnitude edge products, so
-    it reproduces the truncation only up to O(1/h^2) amplitude asymmetries.
-    """
-    t = np.asarray(t, dtype=float)
-    sign = (-1.0) ** ((N % 3) + 1)
-    out = (
-        sign
-        * np.sin(freqs.omega0_minus * t)
-        * np.cos(freqs.omega0_plus * t)
-        * np.sin(freqs.omega1_minus * t)
-        * np.cos(freqs.omega1_plus * t)
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def re_f_sixstate(t, spec: ChainSpec, sd: SpectralData | None = None):
-    """Six-state truncation of Re[f_{s1}^{r1}](t) for quasi-Rabi chains."""
-    eps, products = sixstate_data(spec, sd)
-    t = np.asarray(t, dtype=float)
-    out = np.cos(np.multiply.outer(t, eps)) @ products
+    out = np.cos(np.multiply.outer(t, sd.eigenvalues[idx])) @ products
     return float(out) if out.ndim == 0 else out
 
 
@@ -394,11 +307,9 @@ def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
     return float((target_phase + 2.0 * np.pi * k) / omega)
 
 
-def _rabi_window(spec: ChainSpec, sd: SpectralData) -> tuple[float, float, float, float]:
+def _rabi_window(N: int, sd: SpectralData) -> tuple[float, float, float, float]:
     """Two fast periods either side of the analytic candidate."""
-    N = spec.N
-    eps_q, _ = quadruplet_data(spec, sd)
-    freqs = rabi_frequencies(eps_q)
+    freqs = rabi_frequencies(sd.eigenvalues[edge_modes(N)])
     w0p, w0m, w1m = freqs.omega0_plus, freqs.omega0_minus, freqs.omega1_minus
     if w1m <= 0:
         raise ArithmeticError("degenerate quadruplet: slow envelope frequency is zero")
@@ -423,9 +334,9 @@ def _rabi_window(spec: ChainSpec, sd: SpectralData) -> tuple[float, float, float
     return max(0.0, cand - span), cand + span, np.pi / (20.0 * w0m), cand
 
 
-def _quasi_rabi_window(spec: ChainSpec, sd: SpectralData) -> tuple[float, float, float, None]:
+def _quasi_rabi_window(N: int, sd: SpectralData) -> tuple[float, float, float, None]:
     """From 0 to the longest slow period, with no analytic candidate."""
-    eps6, _ = sixstate_data(spec, sd)
+    eps6 = sd.eigenvalues[edge_modes(N)]
     w14p = (eps6[0] + eps6[3]) / 2.0
     w25p = (eps6[1] + eps6[4]) / 2.0
     beat = abs(w14p - w25p)
@@ -461,8 +372,8 @@ def find_transfer_time(
     fields record the scan's work.
 
     In the quasi-Rabi regime omega0- is taken from the outer four of the
-    six sixstate_data levels (the lowest two and the highest two; the
-    highest is the extended state at +2), not from the quadruplet of
+    six edge_modes levels (the lowest two and the highest two; the highest
+    is the extended state at +2), not from the quadruplet of
     localized_indices; a step from the quadruplet moves t* on most
     quasi-Rabi chains.
     """
@@ -470,7 +381,7 @@ def find_transfer_time(
         sd = diagonalize(build_single_particle(spec))
     regime = classify_chain(spec.N)
     window = _quasi_rabi_window if regime == "quasi-rabi" else _rabi_window
-    lo, hi, step, cand = window(spec, sd)
+    lo, hi, step, cand = window(spec.N, sd)
     products = edge_products(spec, sd)
     t_best, F_best, work = _scan(sd, products, lo, hi, step)
     t_star = _refine(sd, products, t_best, step)

@@ -3,7 +3,8 @@
 For strong barrier fields the one-excitation spectrum develops a quadruplet
 of eigenstates localized on the four edge sites {1, 2, N-1, N}; when
 N = 3n - 1 two additional edge-weighted extended states join them.  The
-helpers here diagonalize, quantify localization and classify the regime.
+helpers here diagonalize, quantify localization, classify the regime and
+name the edge modes that the truncated amplitudes keep.
 """
 
 from __future__ import annotations
@@ -122,3 +123,16 @@ def classify_chain(N: int) -> str:
     if N < 6:
         raise ValueError(f"N must be >= 6, got {N}")
     return "quasi-rabi" if N % 3 == 2 else "rabi"
+
+
+def edge_modes(N: int) -> np.ndarray:
+    """0-based ascending indices of the eigenstates that carry the edge weight.
+
+    The localized quadruplet, joined by the two extended states when
+    N = 3n - 1: the kept modes of the paper's four- and six-state
+    truncations of the mirror amplitude.
+    """
+    modes = localized_indices(N)
+    if classify_chain(N) == "quasi-rabi":
+        modes += extended_indices(N)
+    return np.sort(modes) - 1

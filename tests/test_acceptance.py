@@ -129,17 +129,14 @@ def test_criterion_4_quadri_localization():
                   f"{ext[0]:.3f}/{ext[1]:.3f}")
 
 
-def first_transfer_reference(spec):
-    """Brute-force Haar-average fidelity of the first transfer, built here.
+def reference_fbar(spec):
+    """Haar-average fidelity on an array of times, built here.
 
     Uses neither protocol nor fidelity: dense eigh of the one-excitation
     matrix gives the edge amplitudes f_s^r(t) = sum_k exp(-i eps_k t) v_sk
     v_rk; the pair amplitude is the free-fermion determinant g = f11 f22 -
     f12 f21, and for a channel that conserves excitations the Haar average
-    is Fbar = (4 + |1 + f11 + f22 + g|^2) / 20.  Returns (Fbar as a function
-    of time, max of Fbar on [0, pi h^2]): a grid of step pi/40 (at least
-    ten points per period of the fastest frequency of Fbar, about 8) and a
-    bounded refinement around the best point.
+    is Fbar = (4 + |1 + f11 + f22 + g|^2) / 20.
     """
     eps, v = np.linalg.eigh(build_single_particle(spec).dense())
     (s1, s2), (r1, r2) = spec.senders, spec.receivers
@@ -150,6 +147,18 @@ def first_transfer_reference(spec):
         f11, f12, f21, f22 = (np.exp(-1j * np.multiply.outer(t, eps)) @ c).T
         return (4.0 + np.abs(1.0 + f11 + f22 + f11 * f22 - f12 * f21) ** 2) / 20.0
 
+    return fbar
+
+
+def first_transfer_reference(spec):
+    """Brute-force Haar-average fidelity of the first transfer, built here.
+
+    Returns (Fbar as a function of time, max of Fbar on [0, pi h^2]) from
+    reference_fbar: a grid of step pi/40 (at least ten points per period of
+    the fastest frequency of Fbar, about 8) and a bounded refinement around
+    the best point.
+    """
+    fbar = reference_fbar(spec)
     step = np.pi / 40.0
     best, t_best = -1.0, 0.0
     for t in np.array_split(np.arange(0.0, np.pi * spec.h**2, step), 64):
@@ -183,6 +192,21 @@ def test_criterion_5_high_fidelity_transfer():
     report(5, ok, f"F(t*={res.t_star:.3f}) = {res.fidelity:.6f}, brute-force max "
                   f"{f_ref:.6f} (|diff| = {dev:.1e}, limit 1e-9; need F >= 0.985), "
                   f"F_min = {fmin:.5f} (need >= 2.5 F - 1.5 = {2.5 * res.fidelity - 1.5:.5f})")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_refine's tolerance 1e-8 max(1, t0) covers its whole bracket at large t, "
+    "so Brent stops at its first golden-section point, 0.0185 before the peak",
+)
+def test_refined_peak_at_large_t():
+    # F(t*) against the best point of a 1e-4 grid over t* +- 0.1 at
+    # t* ~ 2.5e7; F falls about 1.6 dt^2 from the peak, so the grid is
+    # within 4e-9 of it and a refined t* is not below it.  Today t* sits
+    # 0.0185 before the peak and F(t*) 5.5e-4 below the grid's best.
+    spec, _, res = transfer(30, 4000.0)
+    F = reference_fbar(spec)(res.t_star + np.arange(-1000, 1001) * 1e-4)
+    assert res.fidelity >= F.max() - 1e-9
 
 
 def test_criterion_6_quadratic_time_law():

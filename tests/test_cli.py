@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -120,6 +121,26 @@ class TestExitCodes:
         payload = json.loads((outdir / "scan.json").read_text())
         errors = [dict(zip(payload["columns"], row))["error"] for row in payload["rows"]]
         assert errors == ["barrier field h must be finite, got nan", ""]
+
+    def test_error_rows_keep_the_header_width(self, outdir):
+        # ChainSpec messages hold commas; the error field is quoted, not split
+        assert run(["scan", "--N", "30", "--axis", "h", "--values", "nan,-1,60"]) == 0
+        with open(outdir / "scan.csv", newline="") as fh:
+            header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+        assert [len(row) for row in rows] == [len(header)] * 3
+        assert [row[header.index("error")] for row in rows] == [
+            "barrier field h must be finite, got nan",
+            "barrier field h must be >= 0, got -1.0",
+            "",
+        ]
+
+    @pytest.mark.parametrize("line", ["N = 30.5", "h = sixty"], ids=["N-float", "h-word"])
+    def test_malformed_config_value_rejected(self, line, outdir, capsys):
+        cfg = outdir / "bad.cfg"
+        cfg.write_text(f"N = 30\nh = 60\n{line}\n")
+        assert run(["transfer-time", "--config", str(cfg)]) == 1
+        assert "error: invalid chain spec: " in capsys.readouterr().err
+        assert list(outdir.iterdir()) == [cfg]
 
     def test_nonfinite_amplitudes_time_rejected(self, outdir, capsys):
         assert run(["amplitudes", "--N", "8", "--t", "1e400"]) == 1

@@ -199,7 +199,7 @@ class TestFidelityGrid:
 
     def test_truncation_keeps_the_dominant_modes(self):
         # every quasi-Rabi chain of the benchmark menu keeps 6 modes: the
-        # quadruplet and the two extended states of sixstate_data
+        # quadruplet and the two extended states of spectral.edge_modes
         spec = ChainSpec(N=29, h=100.0)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)

@@ -18,17 +18,12 @@ from xxchain.protocol import (
     _refine,
     _scan,
     find_transfer_time,
-    quadruplet_data,
     quasi_rabi_coefficients,
-    re_f_fourstate,
-    re_f_fourstate_envelope,
-    re_f_fourstate_factored,
-    re_f_sixstate,
+    re_f_truncated,
     scan,
-    sixstate_data,
     transfer_record,
 )
-from xxchain.spectral import diagonalize, localized_indices
+from xxchain.spectral import diagonalize, edge_modes, localized_indices
 
 
 def exact_re_f(spec, sd, ts):
@@ -65,33 +60,14 @@ def quasi_chain():
 class TestFourStateTruncation:
     def test_initial_value(self, rabi_chain):
         spec, sd = rabi_chain
-        eps_q, a = quadruplet_data(spec, sd)
         # the transfer amplitude vanishes at t = 0; the quadruplet products
         # alternate in sign and cancel up to O(1/h) leakage
-        assert abs(re_f_fourstate(0.0, eps_q, a)) < 1e-2
-
-    def test_factored_form_identical(self, rabi_chain):
-        spec, sd = rabi_chain
-        eps_q, a = quadruplet_data(spec, sd)
-        ts = np.linspace(0.0, 2.0 * transfer_time_estimate(30, 100.0), 400)
-        direct = re_f_fourstate(ts, eps_q, a)
-        factored = re_f_fourstate_factored(ts, eps_q, a)
-        assert np.max(np.abs(direct - factored)) < 1e-6
+        assert abs(re_f_truncated(0.0, spec, sd)) < 1e-2
 
     def test_matches_exact_amplitude(self, rabi_chain):
         spec, sd = rabi_chain
-        eps_q, a = quadruplet_data(spec, sd)
         ts = np.linspace(0.0, 2.0 * transfer_time_estimate(30, 100.0), 600)
-        assert np.max(np.abs(re_f_fourstate(ts, eps_q, a) - exact_re_f(spec, sd, ts))) < 1e-2
-
-    def test_envelope_form(self, rabi_chain):
-        spec, sd = rabi_chain
-        eps_q, a = quadruplet_data(spec, sd)
-        idx = [k - 1 for k in localized_indices(30)]
-        rf = rabi_frequencies(np.sort(sd.eigenvalues[idx]))
-        ts = np.linspace(0.0, 2.0 * transfer_time_estimate(30, 100.0), 600)
-        env = re_f_fourstate_envelope(ts, rf, 30)
-        assert np.max(np.abs(env - re_f_fourstate(ts, eps_q, a))) < 0.1
+        assert np.max(np.abs(re_f_truncated(ts, spec, sd) - exact_re_f(spec, sd, ts))) < 1e-2
 
 
 class TestSixStateTruncation:
@@ -99,12 +75,12 @@ class TestSixStateTruncation:
         spec, sd = quasi_chain
         res = find_transfer_time(spec, sd)
         ts = np.linspace(0.0, 1.2 * res.t_star, 800)
-        diff = re_f_sixstate(ts, spec, sd) - exact_re_f(spec, sd, ts)
+        diff = re_f_truncated(ts, spec, sd) - exact_re_f(spec, sd, ts)
         assert np.max(np.abs(diff)) < 5e-2
 
     def test_product_magnitudes_match_coefficients(self, quasi_chain):
         spec, sd = quasi_chain
-        _, products = sixstate_data(spec, sd)
+        products = edge_products(spec, sd)[edge_modes(29), 0]
         c = quasi_rabi_coefficients(29)
         expected = (c.c1, c.c2, c.c3, c.c1, c.c2, c.c3)
         assert np.allclose(np.abs(products), expected, atol=0.01)
@@ -113,14 +89,10 @@ class TestSixStateTruncation:
     def test_fast_pair_frequency(self, h):
         # the mirror-pair difference frequency of the outermost pair pins
         # to the band value -2J up to O(1/h) corrections
-        spec = ChainSpec(N=29, h=h)
-        eps, _ = sixstate_data(spec)
+        sd = diagonalize(build_single_particle(ChainSpec(N=29, h=h)))
+        eps = sd.eigenvalues[edge_modes(29)]
         w14m = (eps[0] - eps[3]) / 2.0
         assert abs(w14m + 2.0) < 0.1
-
-    def test_rabi_chain_rejected(self):
-        with pytest.raises(ValueError):
-            sixstate_data(ChainSpec(N=30, h=100.0))
 
 
 class TestFindTransferTime:

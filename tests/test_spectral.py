@@ -7,6 +7,7 @@ from xxchain.chain import ChainSpec, SymTridiag, build_single_particle
 from xxchain.spectral import (
     classify_chain,
     diagonalize,
+    edge_modes,
     extended_indices,
     localization_profile,
     localized_indices,
@@ -128,6 +129,19 @@ class TestLocalization:
         for k in localized_indices(N):
             assert w[k - 1] > 0.5
 
+    @pytest.mark.parametrize(
+        "N, h",
+        [(N, h) for h in (20.0, 100.0) for N in (8, 11, 12, 14, *range(29, 36), 46, 50)]
+        + [(N, 100.0) for N in (100, 150, 200)],
+    )
+    def test_edge_modes_are_the_heaviest(self, N, h):
+        # the label rule picks the 4 (6 at N = 3n - 1) modes of largest edge
+        # weight; at h = 20 it no longer does from N = 100 on
+        sd = diagonalize(build_single_particle(ChainSpec(N=N, h=h)))
+        w = localization_profile(sd, {1, 2, N - 1, N})
+        modes = edge_modes(N)
+        np.testing.assert_array_equal(np.sort(np.argsort(w)[-len(modes):]), modes)
+
     def test_empty_sites_rejected(self):
         sd = diagonalize(SymTridiag((0.0, 0.0), (-1.0,)))
         with pytest.raises(ValueError):
@@ -147,6 +161,12 @@ class TestIndexRules:
 
     def test_extended_indices(self):
         assert extended_indices(50) == (17, 34)
+
+    def test_edge_modes(self):
+        # 0-based and ascending: the quadruplet, and at N = 3n - 1 the two
+        # extended states with it
+        assert edge_modes(46).tolist() == [13, 14, 29, 30]
+        assert edge_modes(50).tolist() == [14, 15, 16, 31, 32, 33]
 
     def test_classify(self):
         assert classify_chain(46) == "rabi"
