@@ -199,7 +199,7 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
             json.dump(payload, fh, indent=2, default=str)
             fh.write("\n")
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
             writer = csv.writer(fh, lineterminator="\n")

@@ -162,12 +162,6 @@ class TestIndexRules:
     def test_extended_indices(self):
         assert extended_indices(50) == (17, 34)
 
-    def test_edge_modes(self):
-        # 0-based and ascending: the quadruplet, and at N = 3n - 1 the two
-        # extended states with it
-        assert edge_modes(46).tolist() == [13, 14, 29, 30]
-        assert edge_modes(50).tolist() == [14, 15, 16, 31, 32, 33]
-
     def test_classify(self):
         assert classify_chain(46) == "rabi"
         assert classify_chain(50) == "quasi-rabi"
