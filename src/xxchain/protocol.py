@@ -288,17 +288,21 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
 def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float) -> float:
     """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
 
-    _bounded_brent, SciPy's bounded Brent search, to the absolute tolerance
-    1e-8 max(1, t0).
+    _bounded_brent, SciPy's bounded Brent search, over the offset s = t - t0
+    in [max(-t0, -halfwidth), halfwidth] to the absolute tolerance 1e-9.
+    Brent adds sqrt(eps) |x| to that tolerance, which on the offset stays
+    below 1.5e-8 halfwidth.  On t itself it grows with t: at t ~ 1e7 it
+    spans a bracket of halfwidth 0.08, and Brent stops at its first
+    golden-section point.
     """
-    return float(
-        _bounded_brent(
-            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
-            max(0.0, t0 - halfwidth),
-            t0 + halfwidth,
-            xatol=1e-8 * max(1.0, t0),
-        )
+    eps = sd.eigenvalues
+    s = _bounded_brent(
+        lambda s: -_fidelity_at(eps, products, t0 + s)[0],
+        max(-t0, -halfwidth),
+        halfwidth,
+        xatol=1e-9,
     )
+    return float(t0 + s)
 
 
 def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:

@@ -87,7 +87,7 @@ class TestPropagator:
     def _chains():
         yield "N=1", SymTridiag((0.7,), ())
         yield "N=2", SymTridiag((0.3, -0.5), (-1.0,))
-        for N in (9, 46, 400):
+        for N in (9, 46, 400, 401):
             yield f"N={N}", build_single_particle(ChainSpec(N=N, h=100.0))
         # couplings and fields with no mirror symmetry
         yield "non-palindromic", build_single_particle(ChainSpec(
@@ -109,6 +109,20 @@ class TestPropagator:
             rows = propagator_rows(sd, np.arange(1, sd.n + 1), [t])[0]
             assert np.max(np.abs(f - rows)) <= 1e-13, name
             assert np.array_equal(f, f.T), name
+
+    @pytest.mark.parametrize("N", [200, 201])
+    def test_krawtchouk_perfect_transfer(self, N):
+        # couplings J_l = sqrt(l (N - l)) (hopping -2 J_l) give the equally
+        # spaced spectrum 2(N - 1 - 2k): at t = pi/4 every site n maps onto
+        # N + 1 - n up to a phase, so |f_1^N| = 1 and the pair (1, 2)
+        # arrives at (N - 1, N) with |g| = 1
+        l = np.arange(1, N)
+        spec = ChainSpec(N=N, couplings=tuple(np.sqrt(l * (N - l))))
+        sd = diagonalize(build_single_particle(spec))
+        assert sd.parity is not None
+        amp = propagator(sd, np.pi / 4.0)
+        assert abs(abs(amp.entry(1, N)) - 1.0) <= 1e-12
+        assert abs(abs(two_particle(amp, 1, 2, N - 1, N)) - 1.0) <= 1e-12
 
     def test_scratch_memory(self):
         # the result plus one real N x N factor: 1.5x the result's size

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from conftest import random_grid_chain
@@ -57,6 +58,31 @@ def quasi_chain():
     return spec, sd
 
 
+def reference_peak(spec, t_near, halfwidth=0.05):
+    """Peak (t, Fbar) of the Haar-average fidelity near t_near, built here.
+
+    Uses neither protocol nor fidelity: eigh_tridiagonal gives the modes,
+    the edge amplitudes are f_s^r(t) = sum_k exp(-i eps_k t) v_sk v_rk and
+    Fbar = (4 + |1 + f11 + f22 + f11 f22 - f12 f21|^2) / 20.  SciPy's
+    bounded search runs on the offset u = t - t_near in [-halfwidth,
+    halfwidth], less than half a period of Fbar's fastest frequency (about
+    8), to 1e-10, so its tolerance does not grow with t.
+    """
+    m = build_single_particle(spec)
+    eps, v = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
+    (s1, s2), (r1, r2) = spec.senders, spec.receivers
+    c = np.array([v[s - 1] * v[r - 1] for s, r in ((s1, r1), (s1, r2), (s2, r1), (s2, r2))])
+
+    def fbar(u):
+        f11, f12, f21, f22 = c @ np.exp(-1j * eps * (t_near + u))
+        return (4.0 + abs(1.0 + f11 + f22 + f11 * f22 - f12 * f21) ** 2) / 20.0
+
+    opt = minimize_scalar(lambda u: -fbar(u), bounds=(-halfwidth, halfwidth),
+                          method="bounded", options={"xatol": 1e-10})
+    assert abs(opt.x) < 0.5 * halfwidth  # an interior peak, not the bracket's end
+    return t_near + opt.x, -opt.fun
+
+
 class TestFourStateTruncation:
     def test_initial_value(self, rabi_chain):
         spec, sd = rabi_chain
@@ -108,19 +134,22 @@ class TestFindTransferTime:
         assert (t_star, fid) == (res.t_star, res.fidelity)
 
     @pytest.mark.parametrize(
-        "N, h, t_star, fidelity",
+        "N, h, t_near",
         [
-            (29, 100.0, 1109.7846522122243, 0.8374365593761322),
-            (50, 200.0, 4420.235593872524, 0.9926410979368487),
-            (32, 1000.0, 15532.036231847127, 0.9823506962112981),
-            (46, 100.0, 15727.396400881948, 0.9894040398778821),
+            (29, 100.0, 1109.7846522122243),
+            (50, 200.0, 4420.235593872524),
+            (32, 1000.0, 15532.036231847127),
+            (46, 100.0, 15727.396400881948),
         ],
     )
-    def test_pinned_optimum(self, N, h, t_star, fidelity):
-        # pinned before the grid kernel was rewritten: t* must not move
-        res = find_transfer_time(ChainSpec(N=N, h=h))
-        assert res.t_star == pytest.approx(t_star, rel=1e-9, abs=0.0)
-        assert res.fidelity == pytest.approx(fidelity, rel=0.0, abs=1e-12)
+    def test_pinned_optimum(self, N, h, t_near):
+        # t* and F(t*) against the peak of an in-test reference near the
+        # t* pinned before the grid kernel was rewritten
+        spec = ChainSpec(N=N, h=h)
+        t_ref, F_ref = reference_peak(spec, t_near)
+        res = find_transfer_time(spec)
+        assert res.t_star == pytest.approx(t_ref, rel=1e-9, abs=0.0)
+        assert res.fidelity == pytest.approx(F_ref, rel=0.0, abs=1e-12)
 
     def test_reading_window_recurrences(self):
         # near-optimal readout times recur with the fast edge frequency,
@@ -199,23 +228,22 @@ class TestBoundedBrent:
         spec, t0, step = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
-        # t0 >= 10 > step, so _refine searches [t0 - step, t0 + step] to 1e-8 t0
+        # t0 >= 10 > step, so _refine searches the offset on [-step, step] to 1e-9
         x, _ = self.assert_same_as_scipy(
-            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0],
-            t0 - step, t0 + step, 1e-8 * t0,
+            lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0], -step, step, 1e-9
         )
-        assert _refine(sd, products, t0, step).hex() == x.hex()
+        assert _refine(sd, products, t0, step).hex() == (t0 + x).hex()
 
     @pytest.mark.parametrize("t0", [0.0, 0.3, 2.0])
     def test_bracket_clipped_at_zero(self, t0):
-        # halfwidth 2.5 > t0, so _refine searches [0, t0 + 2.5] to 1e-8
+        # halfwidth 2.5 > t0, so _refine searches the offset on [-t0, 2.5]
         spec = ChainSpec(N=12, h=3.0)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
         x, _ = self.assert_same_as_scipy(
-            lambda t: -_fidelity_at(sd.eigenvalues, products, t)[0], 0.0, t0 + 2.5, 1e-8
+            lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0], -t0, 2.5, 1e-9
         )
-        assert _refine(sd, products, t0, 2.5).hex() == x.hex()
+        assert _refine(sd, products, t0, 2.5).hex() == (t0 + x).hex()
 
     def test_constant_objective(self):
         self.assert_same_as_scipy(lambda t: 1.0, 0.0, 5.0, 1e-8)

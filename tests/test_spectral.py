@@ -3,8 +3,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import jacobi_eigh
+from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, SymTridiag, build_single_particle
 from xxchain.spectral import (
+    _FOLD_MIN_N,
+    SpectralData,
     classify_chain,
     diagonalize,
     edge_modes,
@@ -59,20 +62,34 @@ class TestDiagonalize:
             nz = np.nonzero(np.abs(row) > 1e-12)[0]
             assert row[nz[0]] > 0
 
-    @pytest.mark.parametrize("N", [6, 7, 46, 400])
-    def test_sign_fix_matches_row_loop(self, N):
-        # the vectorized sign fix against the rule applied row by row; about
-        # half the rows flip, and at N = 46 and 400 one row starts with an
-        # entry below the 1e-12 threshold
-        m = build_single_particle(ChainSpec(N=N, h=100.0))
+    @staticmethod
+    def _row_loop_reference(m):
         _, v = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
         ref = v.T.copy()
         for k, row in enumerate(ref):
             nz = np.nonzero(np.abs(row) > 1e-12)[0]
             if len(nz) and row[nz[0]] < 0:
                 ref[k] = -row
+        return ref
+
+    @pytest.mark.parametrize("N, barriers", [(6, None), (7, None), (46, None), (400, (3, 397))])
+    def test_sign_fix_matches_row_loop(self, N, barriers):
+        # the vectorized sign fix against the rule applied row by row to
+        # the full solver's vectors; about half the rows flip, and at N = 46
+        # one row starts with an entry below the 1e-12 threshold.  The N =
+        # 400 chain has its barriers off the mirror, so it is not folded
+        m = build_single_particle(ChainSpec(N=N, h=100.0, barriers=barriers))
         vecs = diagonalize(m).eigenvectors
-        np.testing.assert_array_equal(vecs, ref)
+        np.testing.assert_array_equal(vecs, self._row_loop_reference(m))
+        assert vecs.flags.c_contiguous
+
+    def test_sign_fix_on_folded_rows(self):
+        # the folded N = 400 chain cannot match the full solver's rows bit
+        # for bit; the rule itself holds row by row
+        vecs = diagonalize(build_single_particle(ChainSpec(N=400, h=100.0))).eigenvectors
+        for row in vecs:
+            nz = np.nonzero(np.abs(row) > 1e-12)[0]
+            assert row[nz[0]] > 0
         assert vecs.flags.c_contiguous
 
     def test_deterministic(self):
@@ -93,12 +110,74 @@ class TestDiagonalize:
         assert np.max(np.abs(b.eigenvectors - a.eigenvectors)) < 1e-8
 
     def test_mirror_symmetry(self):
-        # moderate field keeps all eigenvalues well separated; for nearly
-        # degenerate pairs (large h) the solver may mix the two vectors and
-        # individual-vector mirror symmetry only holds to gap precision
+        # N = 11 is below _FOLD_MIN_N, so the full solver runs.  A moderate
+        # field keeps all eigenvalues well separated; for nearly degenerate
+        # pairs (large h) that solver may mix the two vectors, and
+        # individual-vector mirror symmetry only holds to gap precision.
+        # Folded chains are exactly symmetric (TestMirrorFold)
         sd = diagonalize(build_single_particle(ChainSpec(N=11, h=3.0)))
         flipped = np.abs(sd.eigenvectors[:, ::-1])
         assert np.max(np.abs(np.abs(sd.eigenvectors) - flipped)) < 1e-10
+
+
+class TestMirrorFold:
+    # palindromic chains of at least _FOLD_MIN_N sites are solved as two
+    # parity blocks; the full-size solver stays the reference
+
+    @pytest.mark.parametrize("N", [400, 401])
+    def test_exact_parity(self, N):
+        # every row is even or odd under the mirror, bit for bit, including
+        # the near-degenerate pair bound to the barriers at eps ~ 200.04,
+        # which a full-size solver may return mixed into two localized rows
+        sd = diagonalize(build_single_particle(ChainSpec(N=N, h=100.0)))
+        a = sd.eigenvectors
+        assert np.all((sd.parity == 1.0) | (sd.parity == -1.0))
+        for k, row in enumerate(a):
+            assert np.array_equal(row[::-1], row) or np.array_equal(row[::-1], -row), k
+        np.testing.assert_array_equal(a[:, ::-1], sd.parity[:, None] * a)
+        assert np.sum(sd.eigenvalues > 200.0) == 2
+
+    @pytest.mark.parametrize("N", [_FOLD_MIN_N, _FOLD_MIN_N + 1, 400, 401])
+    def test_matches_full_solver(self, N):
+        # eigenvalues to 1e-12 max|eps|; the propagator rather than the
+        # vectors, because the basis of the barrier pair differs.  Each
+        # solver's eigenvalues are within a few ulp of max|eps| ~ 200
+        # (40-digit Sturm bisection at N = 129: 8.1e-14 and 6.1e-14), so
+        # the propagators may drift apart by t times that
+        m = build_single_particle(ChainSpec(N=N, h=100.0))
+        sd = diagonalize(m)
+        assert sd.parity is not None
+        w, v = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
+        ref = SpectralData(eigenvalues=w, eigenvectors=v.T.copy())
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(sd.eigenvalues - w)) <= 1e-12 * scale
+        for t in (0.0, 0.5, 3.0, 10.0):
+            diff = np.max(np.abs(propagator(sd, t).f - propagator(ref, t).f))
+            assert diff <= 1e-12 + 8.0 * np.finfo(float).eps * scale * t, t
+
+    @pytest.mark.parametrize("N", [_FOLD_MIN_N, 400])
+    @pytest.mark.parametrize("part", ["coupling", "field"])
+    def test_barely_asymmetric_chain_is_not_folded(self, N, part):
+        # one entry one ulp off the mirror: the full solver's output, bit
+        # for bit, with no parity
+        m = build_single_particle(ChainSpec(N=N, h=100.0))
+        d, e = list(m.diagonal), list(m.off_diagonal)
+        if part == "coupling":
+            e[0] = float(np.nextafter(e[0], 0.0))
+        else:
+            d[2] = float(np.nextafter(d[2], np.inf))
+        m = SymTridiag(tuple(d), tuple(e))
+        sd = diagonalize(m)
+        assert sd.parity is None
+        w, _ = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
+        np.testing.assert_array_equal(sd.eigenvalues, w)
+        np.testing.assert_array_equal(sd.eigenvectors, TestDiagonalize._row_loop_reference(m))
+
+    def test_short_chain_is_not_folded(self):
+        m = build_single_particle(ChainSpec(N=_FOLD_MIN_N - 1, h=100.0))
+        sd = diagonalize(m)
+        assert sd.parity is None
+        np.testing.assert_array_equal(sd.eigenvectors, TestDiagonalize._row_loop_reference(m))
 
 
 class TestLocalization:
