@@ -295,9 +295,8 @@ def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float)
     spans a bracket of halfwidth 0.08, and Brent stops at its first
     golden-section point.
     """
-    eps = sd.eigenvalues
     s = _bounded_brent(
-        lambda s: -_fidelity_at(eps, products, t0 + s)[0],
+        lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0],
         max(-t0, -halfwidth),
         halfwidth,
         xatol=1e-9,
