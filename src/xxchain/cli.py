@@ -386,8 +386,11 @@ def _cmd_perturb(args):
             f"N = {spec.N} is quasi-Rabi (N = 3n - 1); perturbative quadruplet "
             "energies apply to the Rabi regime only"
         )
+    try:
+        ps = perturbative_energies(spec.N, spec.h)
+    except ValueError as exc:
+        raise CliError(str(exc))
     sd = diagonalize(build_single_particle(spec))
-    ps = perturbative_energies(spec.N, spec.h)
     idx = localized_indices(spec.N)
     exact = [float(sd.eigenvalues[k - 1]) for k in idx]
     pert = sorted(ps.lambdas.values())

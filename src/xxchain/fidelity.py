@@ -189,6 +189,32 @@ def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t: float):
     return float(fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)), f
 
 
+def _fidelity_derivatives(eigenvalues: np.ndarray, products: np.ndarray, t: float):
+    """Exact average fidelity at t with its first two time derivatives.
+
+    The edge amplitudes f = sum_k exp(-i eps_k t) p_k are finite
+    trigonometric sums, so f' and f'' come from the same phases: one
+    product exp(-i eps t) @ [p, -i eps p, -eps^2 p].  With the coherent
+    amplitude c = (1 + f11)(1 + f22) - f12 f21 and Fbar = (4 + |c|^2)/20,
+    Fbar' = Re(conj(c) c')/10 and Fbar'' = (|c'|^2 + Re(conj(c) c''))/10;
+    c is summed in _fidelity_at's order, so Fbar is the value it returns up
+    to the order of the mode sums.  Returns (Fbar, Fbar', Fbar'').
+    """
+    e = eigenvalues[:, None]
+    f, d1, d2 = (np.exp(-1j * eigenvalues * t) @ np.hstack(
+        [products, -1j * e * products, -(e * e) * products]
+    )).reshape(3, 4)
+    f11, f12, f21, f22 = f
+    a11, a12, a21, a22 = d1
+    b11, b12, b21, b22 = d2
+    c = 1.0 + f11 + f22 + (f11 * f22 - f12 * f21)
+    c1 = a11 * (1.0 + f22) + (1.0 + f11) * a22 - a12 * f21 - f12 * a21
+    c2 = (b11 * (1.0 + f22) + 2.0 * a11 * a22 + (1.0 + f11) * b22
+          - b12 * f21 - 2.0 * a12 * a21 - f12 * b21)
+    return (float((4.0 + abs(c) ** 2) / 20.0), float((c.conjugate() * c1).real / 10.0),
+            float((abs(c1) ** 2 + (c.conjugate() * c2).real) / 10.0))
+
+
 # Rows of the phase table fidelity_grid reuses for every block: fewer rows
 # cost more Python overhead per point, more rows fall out of cache.  At
 # N = 29 and 50 on one core of a 2-core x86 VM the grid took 150-180 ns per

@@ -8,8 +8,9 @@ sin(omega1_minus t), so the readout time sits near the envelope's first
 quarter period t1 = pi/(2 omega1_minus) ~ (pi/2) h^2.  At N = 3n - 1
 (quasi-Rabi) two extended states join in and the optimum instead tracks a
 beat between two nearly equal slow frequencies, scaling linearly in h and
-N.  The search below reads its window from these levels and refines on the
-exact average fidelity.
+N.  The search below reads its window from these levels, scans the exact
+average fidelity over it and refines the best point by Newton's method on
+the exact first and second time derivatives of Fbar.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .chain import ChainSpec, build_single_particle
 from .fidelity import (
     _fidelity_at,
     _fidelity_bound,
+    _fidelity_derivatives,
     _fidelity_points,
     average_fidelity_approx,
     edge_products,
@@ -153,155 +155,41 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
-# _bounded_brent is ported from SciPy, whose licence asks that this notice
-# be kept with it:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-
-
-def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of func on [lo, hi] by Brent's bounded method.
-
-    A port of _minimize_scalar_bounded from SciPy 1.17
-    (scipy/optimize/_optimize.py; BSD-3-Clause, notice above), which
-    scipy.optimize.minimize_scalar(method="bounded") runs: golden-section
-    steps, parabolic steps where the last three points allow them, and at
-    most 500 evaluations, SciPy's default cap.  The arithmetic is kept in
-    SciPy's order, so the minimizer is the one SciPy returns bit for bit;
-    its disp output, options and result object are left out.  The README
-    gives why scipy.optimize is not imported for this.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # is the parabola acceptable?
-            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    # np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        # np.sign(rat) + (rat == 0)
-        si = -1.0 if rat < 0 else 1.0
-        x = xf + si * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= 500:
-            break
-
-    return xf
-
-
 def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float) -> float:
     """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
 
-    _bounded_brent, SciPy's bounded Brent search, over the offset s = t - t0
-    in [max(-t0, -halfwidth), halfwidth] to the absolute tolerance 1e-9.
-    Brent adds sqrt(eps) |x| to that tolerance, which on the offset stays
-    below 1.5e-8 halfwidth.  On t itself it grows with t: at t ~ 1e7 it
-    spans a bracket of halfwidth 0.08, and Brent stops at its first
-    golden-section point.
+    A safeguarded Newton iteration on Fbar' over the offset s = t - t0 in
+    [max(-t0, -halfwidth), halfwidth], with Fbar' and Fbar'' exact from
+    fidelity._fidelity_derivatives.  The sign of Fbar' at each point shrinks
+    the bracket; the next point is the Newton step s - Fbar'/Fbar'' where
+    Fbar'' < 0 and the step stays inside the bracket, and the bracket's
+    midpoint otherwise.  It stops once the Newton step's predicted gain
+    -Fbar'^2/(2 Fbar'') is below one ulp of Fbar, or once the next point
+    would not move t inside the bracket, and returns the best point
+    evaluated: t0 unless another is above Fbar(t0).  From the scan's best
+    grid point it lands on the stationary point in two or three
+    evaluations; a peak at a bracket end is reached by bisection.
     """
-    s = _bounded_brent(
-        lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0],
-        max(-t0, -halfwidth),
-        halfwidth,
-        xatol=1e-9,
-    )
-    return float(t0 + s)
+    lo, hi = max(-t0, -halfwidth), halfwidth
+    s = 0.0
+    F, d1, d2 = _fidelity_derivatives(sd.eigenvalues, products, t0)
+    best_F, best_s = F, s
+    while True:
+        # the Newton step, or an infinite step uphill where Fbar is not concave
+        step = -d1 / d2 if d2 < 0.0 else math.copysign(math.inf, d1)
+        if 0.5 * d1 * step < np.spacing(F):
+            break  # the step would raise Fbar by less than one ulp
+        if d1 > 0.0:
+            lo = s
+        else:
+            hi = s
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+        if not t0 + lo < t0 + s < t0 + hi:
+            break
+        F, d1, d2 = _fidelity_derivatives(sd.eigenvalues, products, t0 + s)
+        if F > best_F:
+            best_F, best_s = F, s
+    return float(t0 + best_s)
 
 
 def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
@@ -362,7 +250,8 @@ def find_transfer_time(
     slow period with the scan's best point as candidate (quasi-Rabi).  The
     step pi/(20 omega0-) does not alias the fastest frequency.  One tail
     then grid-scans the exact average fidelity over the window and refines
-    the best point by _refine within one step either side.
+    the best point within one step either side by _refine, a safeguarded
+    Newton iteration on the exact Fbar' and Fbar''.
 
     The scan picks the grid point the exact kernel fidelity.fidelity_grid
     would, without running it over the window: fidelity._fidelity_bound

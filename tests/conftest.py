@@ -1,9 +1,10 @@
-"""Shared test helpers: an independent dense eigensolver oracle and seeded
-random chains for the grid-scan differential tests."""
+"""Shared test helpers: an independent dense eigensolver oracle, seeded
+random chains for the grid-scan differential tests and a reference Haar-average
+fidelity built without protocol or fidelity."""
 
 import numpy as np
 
-from xxchain.chain import ChainSpec
+from xxchain.chain import ChainSpec, build_single_particle
 
 
 def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
@@ -67,3 +68,24 @@ def random_grid_chain(seed):
         **roles,
     )
     return spec, float(rng.uniform(10.0, 5000.0)), float(rng.uniform(0.02, 0.5))
+
+
+def reference_fbar(spec):
+    """Haar-average fidelity on an array of times, built here.
+
+    Uses neither protocol nor fidelity: dense eigh of the one-excitation
+    matrix gives the edge amplitudes f_s^r(t) = sum_k exp(-i eps_k t) v_sk
+    v_rk; the pair amplitude is the free-fermion determinant g = f11 f22 -
+    f12 f21, and for a channel that conserves excitations the Haar average
+    is Fbar = (4 + |1 + f11 + f22 + g|^2) / 20.
+    """
+    eps, v = np.linalg.eigh(build_single_particle(spec).dense())
+    (s1, s2), (r1, r2) = spec.senders, spec.receivers
+    pairs = ((s1, r1), (s1, r2), (s2, r1), (s2, r2))
+    c = np.stack([v[s - 1] * v[r - 1] for s, r in pairs], axis=1)
+
+    def fbar(t):
+        f11, f12, f21, f22 = (np.exp(-1j * np.multiply.outer(t, eps)) @ c).T
+        return (4.0 + np.abs(1.0 + f11 + f22 + f11 * f22 - f12 * f21) ** 2) / 20.0
+
+    return fbar

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import reference_fbar
 from xxchain.amplitudes import propagator, two_particle
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
@@ -127,27 +128,6 @@ def test_criterion_4_quadri_localization():
     ok = min(quad) > 0.99 and all(0.01 < w < 0.5 for w in ext)
     report(4, ok, f"quad weights >= {min(quad):.4f}, extended = "
                   f"{ext[0]:.3f}/{ext[1]:.3f}")
-
-
-def reference_fbar(spec):
-    """Haar-average fidelity on an array of times, built here.
-
-    Uses neither protocol nor fidelity: dense eigh of the one-excitation
-    matrix gives the edge amplitudes f_s^r(t) = sum_k exp(-i eps_k t) v_sk
-    v_rk; the pair amplitude is the free-fermion determinant g = f11 f22 -
-    f12 f21, and for a channel that conserves excitations the Haar average
-    is Fbar = (4 + |1 + f11 + f22 + g|^2) / 20.
-    """
-    eps, v = np.linalg.eigh(build_single_particle(spec).dense())
-    (s1, s2), (r1, r2) = spec.senders, spec.receivers
-    pairs = ((s1, r1), (s1, r2), (s2, r1), (s2, r2))
-    c = np.stack([v[s - 1] * v[r - 1] for s, r in pairs], axis=1)
-
-    def fbar(t):
-        f11, f12, f21, f22 = (np.exp(-1j * np.multiply.outer(t, eps)) @ c).T
-        return (4.0 + np.abs(1.0 + f11 + f22 + f11 * f22 - f12 * f21) ** 2) / 20.0
-
-    return fbar
 
 
 def first_transfer_reference(spec):

@@ -146,6 +146,12 @@ class TestExitCodes:
         assert run(["amplitudes", "--N", "8", "--t", "1e400"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_perturb_short_chain_rejected(self, outdir, capsys):
+        # ChainSpec admits N = 6, but the perturbative quadruplet needs N >= 7
+        assert run(["perturb", "--N", "6", "--h", "10"]) == 1
+        assert "error: N must be >= 7, got 6" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
 
 class TestOutputs:
     def test_spectrum_csv_and_manifest(self, outdir):

@@ -3,19 +3,19 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from conftest import random_grid_chain
+from conftest import random_grid_chain, reference_fbar
 from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _GRID_BLOCK,
     _fidelity_at,
+    _fidelity_derivatives,
     average_fidelity_approx,
     edge_products,
     fidelity_grid,
 )
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
 from xxchain.protocol import (
-    _bounded_brent,
     _refine,
     _scan,
     find_transfer_time,
@@ -201,61 +201,85 @@ class TestPrunedScan:
         assert 1 <= res.grid_points_exact <= 0.05 * res.grid_points
 
 
-def traced(func, calls):
-    def wrapped(x):
-        calls.append(float(x))
-        return func(x)
+def hill_climb_peak(spec, t0, lo, hi, n=4001):
+    """(t, Fbar) where hill-climbing from t0 stops on an n-point grid over [lo, hi].
 
-    return wrapped
+    The grid is built by reference_fbar, without protocol or fidelity.  The
+    climb starts at the grid point nearest t0 and moves to its higher
+    neighbour until neither is higher: the nearest local maximum uphill, or
+    the end of the bracket it rises to.
+    """
+    t = np.linspace(lo, hi, n)
+    F = reference_fbar(spec)(t)
+    j = int(np.argmin(np.abs(t - t0)))
+    while True:
+        k = max(range(max(j - 1, 0), min(j + 2, n)), key=F.__getitem__)
+        if F[k] <= F[j]:
+            return t[j], F[j]
+        j = k
 
 
-class TestBoundedBrent:
-    # the in-module port against the SciPy routine it was ported from: the
-    # same evaluation points in the same order, and the same minimizer bit
-    # for bit
+class TestRefine:
+    STEP = np.pi / 40.0
 
-    def assert_same_as_scipy(self, func, lo, hi, xatol):
-        ours, theirs = [], []
-        x = _bounded_brent(traced(func, ours), lo, hi, xatol)
-        res = minimize_scalar(traced(func, theirs), bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert x.hex() == float(res.x).hex()
-        assert [t.hex() for t in ours] == [t.hex() for t in theirs]
-        return x, ours
+    def assert_reaches_peak(self, spec, t0, halfwidth):
+        # the refined point lies in the bracket and is not below the peak
+        # that hill-climbing from t0 reaches; returns that peak's time
+        sd = diagonalize(build_single_particle(spec))
+        lo, hi = max(0.0, t0 - halfwidth), t0 + halfwidth
+        t = _refine(sd, edge_products(spec, sd), t0, halfwidth)
+        t_peak, F_peak = hill_climb_peak(spec, t0, lo, hi)
+        assert lo <= t <= hi
+        assert reference_fbar(spec)(np.array([t]))[0] >= F_peak - 1e-12
+        return t_peak
+
+    def grid_point(self, seed, pick=np.argmax):
+        # the best (or, with pick=np.argmin, the worst) point of a 200-point
+        # grid from the seed's t0
+        spec, t0, _ = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        F = fidelity_grid(sd.eigenvalues, edge_products(spec, sd), t0, self.STEP, 200)
+        return spec, t0 + int(pick(F)) * self.STEP
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_refine_matches_scipy(self, seed):
-        spec, t0, step = random_grid_chain(seed)
+    def test_derivatives_match_central_differences(self, seed):
+        # steps of 1e-3 over the largest frequency; the errors scale with
+        # its first and second powers
+        spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
-        products = edge_products(spec, sd)
-        # t0 >= 10 > step, so _refine searches the offset on [-step, step] to 1e-9
-        x, _ = self.assert_same_as_scipy(
-            lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0], -step, step, 1e-9
-        )
-        assert _refine(sd, products, t0, step).hex() == (t0 + x).hex()
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        w = float(np.max(np.abs(eps)))
+        d = 1e-3 / w
+        for t in t0 + np.linspace(-1.0, 1.0, 7):
+            F, d1, d2 = _fidelity_derivatives(eps, products, t)
+            lo, hi = (_fidelity_at(eps, products, t + u)[0] for u in (-d, d))
+            assert abs(F - _fidelity_at(eps, products, t)[0]) <= 1e-15
+            assert abs((hi - lo) / (2.0 * d) - d1) <= 1e-6 * w
+            assert abs((hi - 2.0 * F + lo) / d**2 - d2) <= 1e-6 * w**2
+
+    @pytest.mark.parametrize("pick", [np.argmax, np.argmin], ids=["best", "worst"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reaches_the_hill_climbing_peak(self, seed, pick):
+        # from the worst grid point Fbar is convex: the search must climb
+        # out of the minimum, not settle in it
+        spec, t0 = self.grid_point(seed, pick)
+        self.assert_reaches_peak(spec, t0, self.STEP)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["peak-below", "peak-above"])
+    @pytest.mark.parametrize("seed", range(0, 20, 3))
+    def test_peak_at_a_bracket_end(self, seed, side):
+        # start a quarter step past the peak, with the bracket an eighth of
+        # a step wide, so Fbar rises to the bracket end nearest the peak
+        spec, tb = self.grid_point(seed)
+        t_peak, _ = hill_climb_peak(spec, tb, tb - self.STEP, tb + self.STEP)
+        t0 = t_peak - side * self.STEP / 4.0
+        t_end = self.assert_reaches_peak(spec, t0, self.STEP / 8.0)
+        assert t_end == pytest.approx(t0 + side * self.STEP / 8.0, abs=1e-12)
 
     @pytest.mark.parametrize("t0", [0.0, 0.3, 2.0])
     def test_bracket_clipped_at_zero(self, t0):
-        # halfwidth 2.5 > t0, so _refine searches the offset on [-t0, 2.5]
-        spec = ChainSpec(N=12, h=3.0)
-        sd = diagonalize(build_single_particle(spec))
-        products = edge_products(spec, sd)
-        x, _ = self.assert_same_as_scipy(
-            lambda s: -_fidelity_at(sd.eigenvalues, products, t0 + s)[0], -t0, 2.5, 1e-9
-        )
-        assert _refine(sd, products, t0, 2.5).hex() == (t0 + x).hex()
-
-    def test_constant_objective(self):
-        self.assert_same_as_scipy(lambda t: 1.0, 0.0, 5.0, 1e-8)
-
-    def test_evaluation_cap(self):
-        # |x| with xatol = 0 never meets the stopping rule near x = 0
-        _, ours = self.assert_same_as_scipy(abs, -1.0, 1.0, 0.0)
-        assert len(ours) == 500
-
-    def test_nonfinite_bounds_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            _bounded_brent(abs, float("nan"), 1.0, 1e-8)
+        # halfwidth 2.5 > t0, so the bracket is [0, t0 + 2.5]
+        self.assert_reaches_peak(ChainSpec(N=12, h=3.0), t0, 2.5)
 
 
 class TestScan:
