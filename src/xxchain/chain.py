@@ -80,6 +80,8 @@ class ChainSpec:
             )
         if not all(map(math.isfinite, self.couplings)):
             raise ValueError("all couplings must be finite")
+        if not all(math.isfinite(2.0 * j) for j in self.couplings):
+            raise ValueError("all couplings must be finite when doubled (hopping -2 J_l)")
         if any(j <= 0 for j in self.couplings):
             raise ValueError("all couplings must be positive")
         if len(self.fields) != N:
@@ -88,6 +90,8 @@ class ChainSpec:
             )
         if not all(map(math.isfinite, self.fields)):
             raise ValueError("all fields must be finite")
+        if not all(math.isfinite(2.0 * x) for x in self.fields):
+            raise ValueError("all fields must be finite when doubled (on-site energy 2 h_l)")
 
         s1, s2 = self.senders
         r1, r2 = self.receivers

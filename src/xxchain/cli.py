@@ -17,6 +17,7 @@ import platform
 import sys
 import time
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import scipy
@@ -42,7 +43,7 @@ from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan, transf
 from .sector_oracle import (
     SectorBasis,
     TwoQubitState,
-    build_sector_hamiltonians,
+    _sector_eig,
     evolve,
     reduced_receiver_state,
 )
@@ -151,6 +152,33 @@ def _fmt(x):
     return str(x)
 
 
+@lru_cache(maxsize=64)
+def _row_format(kinds: tuple) -> str | None:
+    """One %-format for a CSV row whose cells have these types, or None.
+
+    Floats take "%.12g" and other numbers "%s", which spell each cell as
+    _fmt does and need no quoting.  A row with any other cell, such as a
+    string that may hold a comma, is None: it goes through csv.writer.
+    """
+    if not all(issubclass(k, (int, float, np.number)) for k in kinds):
+        return None
+    return ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+
+
+def _write_rows(fh, rows):
+    """Write rows as csv.writer writes [_fmt(v) for v in row], "\n"-ended.
+
+    An all-number row is formatted in one step by _row_format's format.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    for row in rows:
+        fmt = _row_format(tuple(map(type, row)))
+        if fmt is None:
+            writer.writerow([_fmt(v) for v in row])
+        else:
+            fh.write(fmt % tuple(row))
+
+
 def _output_path(args, default_name: str) -> str:
     if args.output:
         return args.output
@@ -202,9 +230,8 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+            csv.writer(fh, lineterminator="\n").writerow(columns)
+            _write_rows(fh, rows)
     manifest = {
         "tool": "xxchain",
         "version": __version__,
@@ -230,9 +257,9 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
 # Complex entries of propagator_rows per chunk of the amplitudes time grid
 # (128 kB), so that memory stays bounded at large N and on long grids.  For
 # 2000 steps at N = 46 on one core of a 2-core x86 VM, 2^18 entries (one
-# chunk) raised the process's peak RSS by 14 MB and 2^13 by 2.4 MB, as much
-# as one N x N propagator per step did; 2^13 was also faster there (73 vs
-# 91-108 ms), and took 278 ms for 300 steps at N = 1000 against 190 ms.
+# chunk) raised the process's peak RSS by 12 MB and 2^13 by 1.6 MB; a whole
+# amplitudes call took 23-27 ms with 2^13 against 34 ms.  For 300 steps at
+# N = 1000, 2^13 took 188-204 ms against 144-146 ms, at +1.6 against +9.4 MB.
 _ROWS_PER_CHUNK = 1 << 13
 
 
@@ -341,7 +368,10 @@ def _cmd_fidelity(args):
         raise CliError(f"--mc-samples must be at least 100, got {args.mc_samples}")
     sd = diagonalize(build_single_particle(spec))
     if args.t_star:
-        res = find_transfer_time(spec, sd)
+        try:
+            res = find_transfer_time(spec, sd)
+        except ArithmeticError as exc:
+            raise CliError(str(exc))
         ts = np.array([res.t_star])
     else:
         ts = _time_grid(args)
@@ -429,7 +459,10 @@ def _record_row(r) -> list:
 def _cmd_transfer_time(args):
     t0 = time.perf_counter()
     spec = _resolve_spec(args)
-    rec = transfer_record(spec)
+    try:
+        rec = transfer_record(spec)
+    except ArithmeticError as exc:
+        raise CliError(str(exc))
     # the grid scan's work goes to the manifest, not the CSV columns
     diag = {key: getattr(rec, key) for key in ("candidate", "candidate_fidelity", *_SEARCH_WORK)}
     _write_result(args, spec, _RECORD_COLUMNS, [_record_row(rec)], diag, t0)
@@ -459,12 +492,11 @@ def _cmd_verify(args):
     if N > 16:
         raise CliError(f"verify caps N at 16 (two-excitation oracle cost), got {N}")
     sd = diagonalize(build_single_particle(spec))
-    H1, H2 = build_sector_hamiltonians(spec)
+    # the dense sector eigensolutions, shared with evolve below
+    (w1, v1), (w2, v2) = _sector_eig(spec)
     basis = SectorBasis(N)
     checks = []
 
-    w1, v1 = np.linalg.eigh(H1)
-    w2, v2 = np.linalg.eigh(H2)
     times = rng.uniform(0.0, 30.0, size=10)
 
     # one-excitation propagator and two-excitation determinant (all ordered
@@ -598,10 +630,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    """The parser run uses, built on its first call.  Building one takes
+    about 3 ms; parse_args keeps no state between calls, since each call
+    fills a fresh namespace and "append" copies its default."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,6 +40,25 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="fields must be finite"):
             ChainSpec(N=8, fields=(0.0,) * 5 + (value,) + (0.0,) * 2)
 
+    # finite, but 2 x overflows the one-excitation matrix to inf
+    def test_overflowing_h_rejected(self):
+        with pytest.raises(ValueError, match="fields must be finite when doubled"):
+            ChainSpec(N=8, h=1e308)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 9e307])
+    def test_overflowing_field_rejected(self, value):
+        with pytest.raises(ValueError, match="fields must be finite when doubled"):
+            ChainSpec(N=8, fields=(0.0,) * 5 + (value,) + (0.0,) * 2)
+
+    def test_overflowing_coupling_rejected(self):
+        with pytest.raises(ValueError, match="couplings must be finite when doubled"):
+            ChainSpec(N=8, couplings=(1.0,) * 3 + (1e308,) + (1.0,) * 3)
+
+    def test_largest_doublable_field_accepted(self):
+        big = float(np.finfo(float).max) / 2.0  # 2 * big is the largest float
+        spec = ChainSpec(N=8, h=big, couplings=(big,) * 7)
+        assert np.all(np.isfinite(build_single_particle(spec).dense()))
+
     def test_mismatched_lists_rejected(self):
         with pytest.raises(ValueError):
             ChainSpec(N=8, couplings=(1.0,) * 5)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import platform
@@ -150,6 +151,30 @@ class TestExitCodes:
         # ChainSpec admits N = 6, but the perturbative quadruplet needs N >= 7
         assert run(["perturb", "--N", "6", "--h", "10"]) == 1
         assert "error: N must be >= 7, got 6" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # h is finite, but 2 h overflows the one-excitation matrix to inf
+            (["spectrum", "--N", "7", "--h", "1e308"],
+             "error: invalid chain spec: all fields must be finite when doubled"),
+            (["spectrum", "--N", "7", "--couplings", "1,1,1e308,1,1,1"],
+             "error: invalid chain spec: all couplings must be finite when doubled"),
+            # at h = 1e200 the quadruplet's slow frequency rounds to zero
+            (["transfer-time", "--N", "30", "--h", "1e200"],
+             "error: degenerate quadruplet"),
+            (["fidelity", "--N", "30", "--h", "1e200", "--t-star"],
+             "error: degenerate quadruplet"),
+        ],
+        ids=["h-doubled-overflow", "coupling-doubled-overflow", "transfer-time-degenerate",
+             "fidelity-t-star-degenerate"],
+    )
+    def test_extreme_field_is_an_error_line(self, argv, message, outdir, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not list(outdir.iterdir())
 
 
@@ -341,6 +366,106 @@ def _fmt_with_isnan(x):
 )
 def test_fmt_matches_isnan_rule(x):
     assert cli_module._fmt(x) == _fmt_with_isnan(x)
+
+
+def _old_csv_rows(rows) -> str:
+    """The data rows as _write_result wrote them, one _fmt call per cell."""
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows([cli_module._fmt(v) for v in row] for row in rows)
+    return fh.getvalue()
+
+
+def _new_csv_rows(rows) -> str:
+    fh = io.StringIO()
+    cli_module._write_rows(fh, rows)
+    return fh.getvalue()
+
+
+_SPECIAL_FLOATS = [
+    float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, -1e300,
+    5e-324, -5e-324, 1.0 / 3.0, 2.0**53 + 1, 1e16, 123456789012.5, 1e-5, 1e-4,
+]
+
+
+class TestCsvRows:
+    def test_float_table(self):
+        rng = np.random.default_rng(3)
+        rows = [_SPECIAL_FLOATS[i:] + _SPECIAL_FLOATS[:i] for i in range(len(_SPECIAL_FLOATS))]
+        rows += (rng.normal(size=(50, 16)) * 10.0 ** rng.integers(-30, 30, size=(50, 16))).tolist()
+        rows.append([np.float64(x) for x in _SPECIAL_FLOATS])
+        assert cli_module._row_format(tuple(map(type, rows[0]))) is not None
+        assert _new_csv_rows(rows) == _old_csv_rows(rows)
+
+    def test_int_column(self):
+        rows = [[k, x, np.int64(-k), True] for k, x in enumerate(_SPECIAL_FLOATS)]
+        rows.append([2**70, 0.5, np.int32(7), False])
+        assert _new_csv_rows(rows) == _old_csv_rows(rows)
+
+    def test_string_cells_stay_quoted(self):
+        rows = [
+            [30, 1.5, "quasi-rabi", float("nan"), ""],
+            [30, 2.5, 'h must be >= 0, got "-1.0"', float("inf"), "line\nbreak"],
+            [31, 0.25, 1.0, -0.0, 7],
+        ]
+        assert cli_module._row_format(tuple(map(type, rows[1]))) is None
+        text = _new_csv_rows(rows)
+        assert text == _old_csv_rows(rows)
+        assert '"h must be >= 0, got ""-1.0"""' in text
+        assert list(csv.reader(io.StringIO(text)))[1][2] == 'h must be >= 0, got "-1.0"'
+
+
+class TestParserReuse:
+    """In-process calls share one parser but behave as separate calls."""
+
+    def test_append_does_not_accumulate(self, outdir):
+        argv = ["amplitudes", "--N", "46", "--h", "50", "--t", "1", "--f", "1,46"]
+        headers = []
+        for _ in range(2):
+            assert run(argv) == 0
+            headers.append(read_csv(outdir / "amplitudes.csv")[1])
+        assert headers[0] == headers[1] == [
+            "t", "re_f_1_46", "im_f_1_46", "channel_occupation"
+        ]
+
+    def test_json_then_default_writes_csv(self, outdir):
+        assert run(["spectrum", "--N", "8", "--format", "json"]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "spectrum.json", "spectrum.json.manifest.json"
+        ]
+        assert run(["spectrum", "--N", "8"]) == 0
+        comments, header, _ = read_csv(outdir / "spectrum.csv")
+        assert comments[0].endswith(":: spectrum") and header[0] == "k"
+        manifest = json.loads((outdir / "spectrum.csv.manifest.json").read_text())
+        assert manifest["options"]["format"] == "csv"
+
+    def test_error_then_valid_call(self, outdir, capsys):
+        assert run(["spectrum", "--N", "8", "--format", "xml"]) == 1
+        assert run(["spectrum", "--N", "4"]) == 1
+        assert run(["spectrum", "--N", "8"]) == 0
+        assert (outdir / "spectrum.csv").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all(e.startswith("error: ") for e in errors)
+
+    def test_parser_built_once(self, outdir, monkeypatch):
+        built = []
+        real = cli_module.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting_build_parser)
+        cli_module._shared_parser.cache_clear()
+        try:
+            for sub in ("spectrum", "perturb", "transfer-time", "spectrum", "perturb"):
+                assert run([sub, "--N", "30", "--h", "60"]) == 0
+            assert run(["frobnicate"]) == 1
+        finally:
+            cli_module._shared_parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli_module.build_parser() is not cli_module.build_parser()
 
 
 class TestConfigAndDeterminism:
