@@ -159,6 +159,8 @@ def _row_format(kinds: tuple) -> str | None:
     Floats take "%.12g" and other numbers "%s", which spell each cell as
     _fmt does and need no quoting.  A row with any other cell, such as a
     string that may hold a comma, is None: it goes through csv.writer.
+    The rows of one table share their cell types, so each table builds its
+    format once.
     """
     if not all(issubclass(k, (int, float, np.number)) for k in kinds):
         return None
@@ -230,8 +232,7 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
-            csv.writer(fh, lineterminator="\n").writerow(columns)
-            _write_rows(fh, rows)
+            _write_rows(fh, [columns, *rows])
     manifest = {
         "tool": "xxchain",
         "version": __version__,
