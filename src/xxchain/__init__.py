@@ -52,7 +52,7 @@ from .perturbation import (
 )
 from .protocol import (
     QuasiRabiCoefficients,
-    ScanRecord,
+    TransferTimeResult,
     find_transfer_time,
     quasi_rabi_coefficients,
     re_f_truncated,

@@ -39,7 +39,7 @@ from .perturbation import (
     rabi_frequencies,
     transfer_time_estimate,
 )
-from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan, transfer_record
+from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan
 from .sector_oracle import (
     SectorBasis,
     TwoQubitState,
@@ -365,6 +365,8 @@ def _cmd_fidelity(args):
     spec = _resolve_spec(args)
     if (args.mc_samples or args.worst_case) and args.seed is None:
         raise CliError("--seed is required with --mc-samples or --worst-case")
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     if args.mc_samples is not None and args.mc_samples < 100:
         raise CliError(f"--mc-samples must be at least 100, got {args.mc_samples}")
     sd = diagonalize(build_single_particle(spec))
@@ -445,7 +447,7 @@ def _cmd_perturb(args):
     return 0
 
 
-# The row of one transfer_record, as transfer-time prints it and scan
+# The row of one TransferTimeResult, as transfer-time prints it and scan
 # prints it per point, followed there by the point's error
 _RECORD_COLUMNS = [
     "N", "h", "regime", "t_star", "F_exact", "F_approx",
@@ -454,14 +456,14 @@ _RECORD_COLUMNS = [
 
 
 def _record_row(r) -> list:
-    return [r.N, r.h, r.regime, r.t_star, r.F_exact, r.F_approx, r.t1_estimate, *r.search_window]
+    return [r.N, r.h, r.regime, r.t_star, r.fidelity, r.F_approx, r.t1_estimate, *r.search_window]
 
 
 def _cmd_transfer_time(args):
     t0 = time.perf_counter()
     spec = _resolve_spec(args)
     try:
-        rec = transfer_record(spec)
+        rec = find_transfer_time(spec)
     except ArithmeticError as exc:
         raise CliError(str(exc))
     # the grid scan's work goes to the manifest, not the CSV columns
@@ -488,6 +490,8 @@ def _cmd_verify(args):
     t0 = time.perf_counter()
     spec = _resolve_spec(args)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise CliError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     N = spec.N
     if N > 16:

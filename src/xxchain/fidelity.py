@@ -176,17 +176,19 @@ def fidelity_from_edge_amplitudes(f11: complex, f22: complex, g: complex) -> flo
     return (4.0 + abs(1.0 + f11 + f22 + g) ** 2) / 20.0
 
 
-def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t: float):
-    """Exact average fidelity at one time t, with its edge amplitudes.
+def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t):
+    """Exact average fidelity at a time t or an array of times, with the edge amplitudes.
 
     products comes from edge_products; the amplitudes (f11, f12, f21, f22)
-    are one product exp(-i eps t) @ products.  At N = 30 that takes about
-    13 us on one thread of a 2-core x86 VM, against 41 us for a one-point
-    fidelity_grid.  Returns (fidelity, amplitudes).
+    are one product exp(-i eps t) @ products, a row of four per time.  At
+    N = 30 one time takes about 13 us on one thread of a 2-core x86 VM,
+    against 41 us for a one-point fidelity_grid.  Returns (fidelity,
+    amplitudes), the fidelity a float for a scalar t.
     """
-    f = np.exp(-1j * eigenvalues * t) @ products
-    f11, f12, f21, f22 = f
-    return float(fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)), f
+    f = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ products
+    f11, f12, f21, f22 = f.T
+    F = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
+    return (float(F) if np.ndim(F) == 0 else F), f
 
 
 def _fidelity_derivatives(eigenvalues: np.ndarray, products: np.ndarray, t: float):
@@ -219,8 +221,8 @@ def _fidelity_derivatives(eigenvalues: np.ndarray, products: np.ndarray, t: floa
 # cost more Python overhead per point, more rows fall out of cache.  At
 # N = 29 and 50 on one core of a 2-core x86 VM the grid took 150-180 ns per
 # point with 256 rows, 80-110 with 1024, 80-125 with 2048 and 165-275 with
-# 16384.  _fidelity_points forms its phases on the same blocks.  The t* scan
-# no longer runs this kernel over its window: _fidelity_bound screens it.
+# 16384.  The t* scan does not run this kernel over its window:
+# _fidelity_bound screens it and _fidelity_at evaluates the points it keeps.
 _GRID_BLOCK = 1024
 
 
@@ -265,29 +267,6 @@ def fidelity_grid(
     return out
 
 
-def _fidelity_points(
-    eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int, idx
-) -> np.ndarray:
-    """fidelity_grid(eigenvalues, products, t0, step, n)[idx] without the rest of the grid.
-
-    Each phase is formed from the same two arguments as in fidelity_grid:
-    row r = j mod rows of its phase table and the start of the block j - r.
-    Only the final sums over the modes run in another order, so the values
-    agree with the grid's to about 1e-16.  Costs 2 N exponentials per point.
-    """
-    idx = np.asarray(idx)
-    rows = min(n, _GRID_BLOCK)
-    r = idx % rows
-    out = np.empty(len(idx))
-    for i in range(0, len(idx), rows):
-        rr = r[i : i + rows]
-        phase = np.exp(-1j * np.multiply.outer(rr * step, eigenvalues))
-        phase *= np.exp(-1j * np.multiply.outer(t0 + (idx[i : i + rows] - rr) * step, eigenvalues))
-        f11, f12, f21, f22 = (phase @ products).T
-        out[i : i + rows] = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
-    return out
-
-
 # A mode is left out of the t* screen while the sum of max_i |p_ki| over the
 # modes left out stays at or below this; smallest weights go first.  Every
 # QUASI_MENU chain keeps 6 of its N modes.
@@ -305,8 +284,8 @@ _SCREEN_POINTS = 8192
 class _FidelityBound:
     """Certified upper bound on fidelity_grid from its dominant modes.
 
-    upper[j] >= fidelity_grid(...)[j] (and >= _fidelity_points there) at
-    every grid point.  modes_kept counts the modes the screen evaluates;
+    upper[j] >= fidelity_grid(...)[j] (and >= _fidelity_at there) at every
+    grid point.  modes_kept counts the modes the screen evaluates;
     truncation_bound is D >= |c - c~|, the most the left-out modes can move
     c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.
     """

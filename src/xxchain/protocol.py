@@ -25,7 +25,6 @@ from .fidelity import (
     _fidelity_at,
     _fidelity_bound,
     _fidelity_derivatives,
-    _fidelity_points,
     average_fidelity_approx,
     edge_products,
 )
@@ -47,27 +46,33 @@ class QuasiRabiCoefficients:
     c3: float
 
 
-# The grid scan's work, as _scan returns it and TransferTimeResult and
-# ScanRecord record it
+# The grid scan's work, as _scan returns it and TransferTimeResult records it
 _SEARCH_WORK = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
 
 _NAN = float("nan")
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """The transfer-time row of one chain, as transfer_record builds it.
+class TransferTimeResult:
+    """The optimal readout time of one chain, with its fidelities and search work.
 
-    One point of scan and the row of `xxchain transfer-time`.  The search
-    fields copy TransferTimeResult; a failed point keeps their defaults and
-    states its error.
+    The row of `xxchain transfer-time` and one point of scan; unpacks as
+    (t_star, fidelity).  fidelity and F_approx come from the same edge
+    amplitudes at t*; t1_estimate is the closed-form Rabi estimate, nan for
+    a quasi-Rabi chain or h = 0.  candidate/candidate_fidelity record the
+    regime's analytic candidate (the scan's best point where it has none)
+    before refinement; search_window the time interval actually scanned.
+    The grid scan's work: grid_points in the window, modes_kept by its
+    screen (fidelity._fidelity_bound) with the truncation_bound D on the
+    coherent amplitude, and grid_points_exact, the points evaluated on all
+    modes.  A failed scan point keeps the defaults and states its error.
     """
 
     N: int
     h: float
     regime: str
     t_star: float = _NAN
-    F_exact: float = _NAN
+    fidelity: float = _NAN
     F_approx: float = _NAN
     t1_estimate: float = _NAN
     search_window: tuple[float, float] = (_NAN, _NAN)
@@ -78,31 +83,6 @@ class ScanRecord:
     truncation_bound: float = _NAN
     grid_points: int = 0
     grid_points_exact: int = 0
-
-
-@dataclass(frozen=True)
-class TransferTimeResult:
-    """Optimal readout time with search diagnostics.
-
-    Unpacks as (t_star, fidelity).  candidate/candidate_fidelity record the
-    regime's analytic candidate (the scan's best point where it has none)
-    before refinement; search_window the time interval actually scanned.
-    The grid scan's work: grid_points in the window, modes_kept by its
-    screen (fidelity._fidelity_bound) with the truncation_bound D on the
-    coherent amplitude, and grid_points_exact, the points evaluated on all
-    modes.
-    """
-
-    t_star: float
-    fidelity: float
-    regime: str
-    candidate: float
-    candidate_fidelity: float
-    search_window: tuple[float, float]
-    modes_kept: int
-    truncation_bound: float
-    grid_points: int
-    grid_points_exact: int
 
     def __iter__(self):
         return iter((self.t_star, self.fidelity))
@@ -139,17 +119,18 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     the spacing np.arange realizes, so t* stays bit for bit where a grid of
     np.arange times puts it.  Only the points whose certified upper bound
     (_fidelity_bound) reaches L, the exact fidelity at the bound's argmax,
-    are evaluated on all modes.  No other point can beat L, so the first of
-    their maxima is the point np.argmax picks over the whole exact grid.
-    Returns (time, fidelity, work) with work keyed by _SEARCH_WORK.
+    are evaluated on all modes, by _fidelity_at.  No other point can beat
+    L, so the first of their maxima is the first maximum of _fidelity_at
+    over the whole grid.  Returns (time, fidelity, work) with work keyed by
+    _SEARCH_WORK.
     """
     n = int(np.ceil((hi + step - lo) / step))
     step = (lo + step) - lo
     eps = sd.eigenvalues
     screen = _fidelity_bound(eps, products, lo, step, n)
-    L = _fidelity_points(eps, products, lo, step, n, [int(np.argmax(screen.upper))])[0]
+    L = _fidelity_at(eps, products, lo + int(np.argmax(screen.upper)) * step)[0]
     idx = np.flatnonzero(screen.upper >= L)
-    F = _fidelity_points(eps, products, lo, step, n, idx)
+    F = _fidelity_at(eps, products, lo + idx * step)[0]
     j = int(np.argmax(F))
     work = dict(zip(_SEARCH_WORK, (screen.modes_kept, screen.truncation_bound, n, len(idx))))
     return lo + int(idx[j]) * step, float(F[j]), work
@@ -253,15 +234,16 @@ def find_transfer_time(
     the best point within one step either side by _refine, a safeguarded
     Newton iteration on the exact Fbar' and Fbar''.
 
-    The scan picks the grid point the exact kernel fidelity.fidelity_grid
-    would, without running it over the window: fidelity._fidelity_bound
+    The scan picks the grid point where fidelity._fidelity_at is largest,
+    without evaluating every point on all modes: fidelity._fidelity_bound
     screens every point on the few modes that carry the edge weight, with a
     certified bound on the rest, and only the points that bound cannot rule
     out are evaluated on all modes.  On the 25 quasi-Rabi windows of the
     benchmark menu (2.0M points, 6 modes kept) that costs about 36 ns per
     point on one core of a 2-core x86 VM, against about 120 ns for the
-    all-mode grid.  The result unpacks as (t*, Fbar(t*)); its last four
-    fields record the scan's work.
+    all-mode grid.  The result is the chain's whole transfer-time row: it
+    unpacks as (t*, Fbar(t*)), adds F_approx and t1 and records the
+    candidate and the scan's work.
 
     In the quasi-Rabi regime omega0- is taken from the outer four of the
     six edge_modes levels (the lowest two and the highest two; the highest
@@ -281,44 +263,25 @@ def find_transfer_time(
         cand, F_cand = t_best, F_best
     else:
         F_cand = _fidelity_at(sd.eigenvalues, products, cand)[0]
+    F, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, products, t_star)
+    has_t1 = regime == "rabi" and spec.h > 0
     return TransferTimeResult(
-        t_star=t_star,
-        fidelity=_fidelity_at(sd.eigenvalues, products, t_star)[0],
+        N=spec.N,
+        h=spec.h,
         regime=regime,
+        t_star=t_star,
+        fidelity=F,
+        F_approx=average_fidelity_approx(f11, f12, f21),
+        t1_estimate=transfer_time_estimate(spec.N, spec.h) if has_t1 else _NAN,
+        search_window=(float(lo), float(hi)),
         candidate=float(cand),
         candidate_fidelity=F_cand,
-        search_window=(float(lo), float(hi)),
         **work,
     )
 
 
-def transfer_record(spec: ChainSpec) -> ScanRecord:
-    """The transfer-time row of one chain: t*, its fidelities and t1.
-
-    F_exact and F_approx come from the same edge amplitudes at t*.  t1 is
-    the closed-form Rabi estimate, nan for a quasi-Rabi chain or h = 0.
-    """
-    sd = diagonalize(build_single_particle(spec))
-    res = find_transfer_time(spec, sd)
-    F, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.t_star)
-    has_t1 = res.regime == "rabi" and spec.h > 0
-    return ScanRecord(
-        N=spec.N,
-        h=spec.h,
-        regime=res.regime,
-        t_star=res.t_star,
-        F_exact=F,
-        F_approx=average_fidelity_approx(f11, f12, f21),
-        t1_estimate=transfer_time_estimate(spec.N, spec.h) if has_t1 else _NAN,
-        search_window=res.search_window,
-        candidate=res.candidate,
-        candidate_fidelity=res.candidate_fidelity,
-        **{key: getattr(res, key) for key in _SEARCH_WORK},
-    )
-
-
-def scan(base: ChainSpec, axis: str, values) -> list[ScanRecord]:
-    """transfer_record of base at each h or N of values.
+def scan(base: ChainSpec, axis: str, values) -> list[TransferTimeResult]:
+    """find_transfer_time of base at each h or N of values.
 
     Along h the chain keeps its couplings and its sender, receiver and
     barrier sites, and the barrier fields follow h; custom fields are
@@ -342,8 +305,8 @@ def scan(base: ChainSpec, axis: str, values) -> list[ScanRecord]:
         h = float(v) if axis == "h" else base.h
         try:
             spec = replace(base, h=h, fields=None) if axis == "h" else ChainSpec(N=N, h=h)
-            records.append(transfer_record(spec))
+            records.append(find_transfer_time(spec))
         except Exception as exc:  # record the failure, keep scanning
             regime = classify_chain(N) if N >= 6 else "invalid"
-            records.append(ScanRecord(N=N, h=h, regime=regime, error=str(exc)))
+            records.append(TransferTimeResult(N=N, h=h, regime=regime, error=str(exc)))
     return records

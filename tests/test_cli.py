@@ -45,6 +45,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_negative_verify_seed_rejected(self, outdir, capsys):
+        assert run(["verify", "--N", "8", "--h", "5", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not list(outdir.iterdir())
+
     def test_invalid_spec(self, capsys):
         assert run(["spectrum", "--N", "4"]) == 1
         assert "error" in capsys.readouterr().err.lower()
@@ -91,8 +97,11 @@ class TestExitCodes:
             ["--t", "nan"],
             ["--t0", "-inf"],
             ["--t1", "1e400", "--steps", "3"],
+            ["--t", "1.0", "--mc-samples", "200", "--seed", "-1"],
+            ["--t", "1.0", "--worst-case", "--seed", "-1"],
         ],
-        ids=["mc-50", "mc-0", "t-overflow", "t-nan", "t0-inf", "t1-overflow"],
+        ids=["mc-50", "mc-0", "t-overflow", "t-nan", "t0-inf", "t1-overflow",
+             "mc-negative-seed", "worst-case-negative-seed"],
     )
     def test_bad_fidelity_input_rejected(self, argv, outdir, capsys):
         assert run(["fidelity", "--N", "8", "--h", "3", "--seed", "1"] + argv) == 1

@@ -14,7 +14,6 @@ from xxchain.fidelity import (
     _channel_data,
     _fidelity_at,
     _fidelity_bound,
-    _fidelity_points,
     _fidelity_samples,
     _sphere_objective,
     _state_forms,
@@ -166,8 +165,9 @@ class TestFidelityGrid:
             assert np.all(bound.upper >= grid)
             assert 0 <= bound.modes_kept <= spec.N
             assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
-            points = _fidelity_points(sd.eigenvalues, products, t0, step, n, np.arange(n))
-            np.testing.assert_allclose(points, grid, rtol=0.0, atol=1e-14)
+            # the scan evaluates the points the screen keeps with _fidelity_at
+            F, _ = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * step)
+            assert np.all(bound.upper >= F)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_time_against_grid_and_channel(self, seed):
@@ -183,6 +183,16 @@ class TestFidelityGrid:
         assert abs(F - bd.value) <= 1e-12
         amps = (bd.amplitudes[k] for k in ("f11", "f12", "f21", "f22"))
         np.testing.assert_allclose((f11, f12, f21, f22), list(amps), rtol=0.0, atol=1e-12)
+        # an array of times gives the scalar call's values, a row of
+        # amplitudes per time
+        ts = t0 + np.linspace(-3.0, 3.0, 7)
+        Fs, fs = _fidelity_at(sd.eigenvalues, products, ts)
+        assert Fs.shape == (7,) and fs.shape == (7, 4)
+        for t, Ft, ft in zip(ts, Fs, fs):
+            F1, f1 = _fidelity_at(sd.eigenvalues, products, float(t))
+            assert isinstance(F1, float)
+            assert abs(Ft - F1) <= 1e-15
+            np.testing.assert_allclose(ft, f1, rtol=0.0, atol=1e-15)
 
     def test_random_grids_cover_full_and_truncated_screens(self):
         # the seeds above include screens that keep every mode (D = 0) and

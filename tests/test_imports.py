@@ -25,13 +25,12 @@ SCRIPT = textwrap.dedent(
 
     import xxchain
     check("import xxchain")
-    from xxchain import ChainSpec, find_transfer_time
-    from xxchain.protocol import transfer_record
+    from xxchain import ChainSpec, find_transfer_time, scan
     spec = ChainSpec(N=15, h=20.0)
     find_transfer_time(spec)
     check("find_transfer_time")
-    transfer_record(spec)
-    check("transfer_record")
+    scan(spec, "h", [20.0, 30.0])
+    check("scan")
 
     from xxchain.cli import run
     spec_flags = ["--N", "15", "--h", "20"]

@@ -22,7 +22,6 @@ from xxchain.protocol import (
     quasi_rabi_coefficients,
     re_f_truncated,
     scan,
-    transfer_record,
 )
 from xxchain.spectral import diagonalize, edge_modes, localized_indices
 
@@ -151,6 +150,16 @@ class TestFindTransferTime:
         assert res.t_star == pytest.approx(t_ref, rel=1e-9, abs=0.0)
         assert res.fidelity == pytest.approx(F_ref, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("N, h", [(32, 4000.0), (44, 4000.0), (30, 60.0)])
+    def test_candidate_fidelity_is_its_point_value(self, N, h):
+        # the scan's best point and the analytic candidate are both valued
+        # by the one point evaluator, also at t ~ 1e5
+        spec = ChainSpec(N=N, h=h)
+        sd = diagonalize(build_single_particle(spec))
+        res = find_transfer_time(spec, sd)
+        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.candidate)[0]
+        assert abs(res.candidate_fidelity - F) <= 1e-14
+
     def test_reading_window_recurrences(self):
         # near-optimal readout times recur with the fast edge frequency,
         # giving several separated high-fidelity clusters around t*
@@ -176,7 +185,8 @@ class TestPrunedScan:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_full_grid_argmax(self, seed):
         # the screened scan must pick the very grid point np.argmax picks
-        # over the exact grid, first of equal maxima included
+        # over its evaluator on every grid time, first of equal maxima
+        # included
         spec, t0, step = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
@@ -184,7 +194,7 @@ class TestPrunedScan:
         for n in self.SIZES:
             t_best, F_best, work = _scan(sd, products, t0, t0 + (n - 1.5) * step, step)
             assert work["grid_points"] == n
-            F = fidelity_grid(sd.eigenvalues, products, t0, spacing, n)
+            F, _ = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * spacing)
             j = int(np.argmax(F))
             assert t_best == t0 + j * spacing
             assert abs(F_best - F[j]) <= 1e-14
@@ -289,7 +299,7 @@ class TestScan:
         t = [r.t_star for r in recs]
         assert t[0] < t[1] < t[2]
         for r in recs:
-            assert 0.0 <= r.F_exact <= 1.0
+            assert 0.0 <= r.fidelity <= 1.0
 
     def test_records_carry_search_work(self):
         spec = ChainSpec(N=29, h=100.0)
@@ -321,18 +331,16 @@ class TestTransferRecord:
         spec = ChainSpec(N=N, h=h)
         sd = diagonalize(build_single_particle(spec))
         res = find_transfer_time(spec, sd)
-        rec = transfer_record(spec)
-        assert (rec.t_star, rec.F_exact, rec.regime) == (res.t_star, res.fidelity, res.regime)
-        assert (rec.candidate, rec.candidate_fidelity) == (res.candidate, res.candidate_fidelity)
-        assert rec.search_window == res.search_window and rec.error == ""
+        assert (res.N, res.h, res.error) == (N, h, "")
+        assert res.fidelity == _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.t_star)[0]
         # F_approx against the amplitudes of the full propagator
         amp = propagator(sd, res.t_star)
         fa = average_fidelity_approx(amp.entry(1, N - 1), amp.entry(1, N), amp.entry(2, N - 1))
-        assert abs(rec.F_approx - fa) <= 1e-12
+        assert abs(res.F_approx - fa) <= 1e-12
         if res.regime == "rabi":
-            assert rec.t1_estimate == transfer_time_estimate(N, h)
+            assert res.t1_estimate == transfer_time_estimate(N, h)
         else:
-            assert np.isnan(rec.t1_estimate)
+            assert np.isnan(res.t1_estimate)
 
 
 class TestScanGeometry:
@@ -348,14 +356,14 @@ class TestScanGeometry:
     )
     def test_h_axis_keeps_the_chain(self, base):
         rec = scan(base, "h", [60.0, 80.0])
-        assert repr(rec[0]) == repr(transfer_record(base))
+        assert repr(rec[0]) == repr(find_transfer_time(base))
         moved = ChainSpec(N=30, h=80.0, couplings=base.couplings, senders=base.senders,
                           receivers=base.receivers, barriers=base.barriers)
-        assert repr(rec[1]) == repr(transfer_record(moved))
+        assert repr(rec[1]) == repr(find_transfer_time(moved))
 
     def test_zero_field_point_is_a_row(self):
         (rec,) = scan(ChainSpec(N=30, h=60.0), "h", [0.0])
-        assert repr(rec) == repr(transfer_record(ChainSpec(N=30, h=0.0)))
+        assert repr(rec) == repr(find_transfer_time(ChainSpec(N=30, h=0.0)))
         assert rec.error == "" and np.isnan(rec.t1_estimate)
 
     def test_h_axis_rejects_custom_fields(self):
@@ -366,7 +374,7 @@ class TestScanGeometry:
             scan(ChainSpec(N=30, h=60.0, fields=fields(3, 27)), "h", [60.0])
         # fields equal to the barrier profile are not custom
         (rec,) = scan(ChainSpec(N=30, h=60.0, fields=fields(3, 28)), "h", [60.0])
-        assert repr(rec) == repr(transfer_record(ChainSpec(N=30, h=60.0)))
+        assert repr(rec) == repr(find_transfer_time(ChainSpec(N=30, h=60.0)))
 
     @pytest.mark.parametrize(
         "base",
