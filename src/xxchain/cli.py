@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -181,6 +182,21 @@ def _write_rows(fh, rows):
             fh.write(fmt % tuple(row))
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, in any dict or list, made None.
+
+    JSON has no NaN or infinity; json.dump would write the bare tokens NaN
+    and Infinity, which strict parsers reject.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _output_path(args, default_name: str) -> str:
     if args.output:
         return args.output
@@ -222,11 +238,11 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
             "subcommand": args.subcommand,
             "spec": _spec_dict(spec),
             "columns": columns,
-            "rows": [[None if isinstance(v, float) and np.isnan(v) else v for v in r] for r in rows],
+            "rows": rows,
             "diagnostics": diagnostics or {},
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+            json.dump(_finite_or_null(payload), fh, indent=2, default=str, allow_nan=False)
             fh.write("\n")
     else:
         with open(path, "w") as fh:
@@ -249,7 +265,7 @@ def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
         "diagnostics": diagnostics or {},
     }
     with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+        json.dump(_finite_or_null(manifest), fh, indent=2, default=str, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
     return path

@@ -181,9 +181,8 @@ def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t):
 
     products comes from edge_products; the amplitudes (f11, f12, f21, f22)
     are one product exp(-i eps t) @ products, a row of four per time.  At
-    N = 30 one time takes about 13 us on one thread of a 2-core x86 VM,
-    against 41 us for a one-point fidelity_grid.  Returns (fidelity,
-    amplitudes), the fidelity a float for a scalar t.
+    N = 30 one time takes about 13 us on one thread of a 2-core x86 VM.
+    Returns (fidelity, amplitudes), the fidelity a float for a scalar t.
     """
     f = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ products
     f11, f12, f21, f22 = f.T
@@ -217,15 +216,6 @@ def _fidelity_derivatives(eigenvalues: np.ndarray, products: np.ndarray, t: floa
             float((abs(c1) ** 2 + (c.conjugate() * c2).real) / 10.0))
 
 
-# Rows of the phase table fidelity_grid reuses for every block: fewer rows
-# cost more Python overhead per point, more rows fall out of cache.  At
-# N = 29 and 50 on one core of a 2-core x86 VM the grid took 150-180 ns per
-# point with 256 rows, 80-110 with 1024, 80-125 with 2048 and 165-275 with
-# 16384.  The t* scan does not run this kernel over its window:
-# _fidelity_bound screens it and _fidelity_at evaluates the points it keeps.
-_GRID_BLOCK = 1024
-
-
 def edge_products(spec: ChainSpec, sd: SpectralData) -> np.ndarray:
     """N x 4 mode products behind the four sender-to-receiver amplitudes.
 
@@ -239,32 +229,6 @@ def edge_products(spec: ChainSpec, sd: SpectralData) -> np.ndarray:
         [a[:, s - 1] * a[:, r - 1] for s, r in ((s1, r1), (s1, r2), (s2, r1), (s2, r2))],
         axis=1,
     )
-
-
-def fidelity_grid(
-    eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int
-) -> np.ndarray:
-    """Exact average fidelity on the uniform grid t_j = t0 + j step, j < n.
-
-    products comes from edge_products.  The edge amplitudes of a block of
-    points starting at index lo are one matrix product: a phase table
-    P[j, k] = exp(-i eps_k j step), built once, times the products re-phased
-    to the block start, exp(-i eps_k (t0 + lo step)) a_{k,s} a_{k,r}.  A
-    block thus costs N new exponentials instead of one per (time, mode)
-    pair.  g follows from the amplitudes by the free-fermion determinant
-    f11 f22 - f12 f21.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one grid point, got n = {n}")
-    rows = min(n, _GRID_BLOCK)
-    table = np.exp(-1j * np.multiply.outer(np.arange(rows) * step, eigenvalues))
-    out = np.empty(n)
-    for lo in range(0, n, rows):
-        m = min(rows, n - lo)
-        start = np.exp(-1j * eigenvalues * (t0 + lo * step))
-        f11, f12, f21, f22 = (table[:m] @ (start[:, None] * products)).T
-        out[lo : lo + m] = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
-    return out
 
 
 # A mode is left out of the t* screen while the sum of max_i |p_ki| over the
@@ -282,10 +246,10 @@ _SCREEN_POINTS = 8192
 
 @dataclass(frozen=True)
 class _FidelityBound:
-    """Certified upper bound on fidelity_grid from its dominant modes.
+    """Certified upper bound on the exact fidelity from its dominant modes.
 
-    upper[j] >= fidelity_grid(...)[j] (and >= _fidelity_at there) at every
-    grid point.  modes_kept counts the modes the screen evaluates;
+    upper[j] >= _fidelity_at(t0 + j step) at every grid point j of
+    _fidelity_bound.  modes_kept counts the modes the screen evaluates;
     truncation_bound is D >= |c - c~|, the most the left-out modes can move
     c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.
     """
@@ -298,7 +262,7 @@ class _FidelityBound:
 def _fidelity_bound(
     eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int
 ) -> _FidelityBound:
-    """Upper bound on the exact average fidelity over the grid of fidelity_grid.
+    """Upper bound on the exact average fidelity on the grid t0 + j step, j < n.
 
     The modes with the largest max_i |p_ki| are kept until the left-out
     weight is at most _TRUNCATION_WEIGHT.  The screen evaluates c~ = (1 +
@@ -320,8 +284,8 @@ def _fidelity_bound(
     d11, d12, d21, d22 = a[order[:q]].sum(axis=0).tolist()
     W11, W12, W21, W22 = a[kept].sum(axis=0).tolist()
     D = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
-    # Rounding: both the exact kernels and this screen compute each phase
-    # from arguments within 8 eps |eps_k| T of eps_k t (T = max |t| on the
+    # Rounding: _fidelity_at and this screen each compute every phase from
+    # an argument within 8 eps |eps_k| T of eps_k t (T = max |t| on the
     # grid), with exponentials and products within 16 eps, and sum at most
     # N + 1 terms (the constant 1 counts as a mode of weight 1), so each
     # amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T + 2 N + 16) + 2 N
@@ -477,17 +441,6 @@ def _quartic(W: np.ndarray, U: np.ndarray):
     out = W.T @ m
     nrm2 = m[:8].sum(axis=0)
     return (out * out).sum(axis=0) / (nrm2 * nrm2), out
-
-
-def _fidelity_samples(ch: _ChannelData, Z: np.ndarray) -> np.ndarray:
-    """Vectorized state fidelity for an array of input states.
-
-    Z has shape (S, 4) holding (alpha, beta, gamma, delta) rows; a row need
-    not be normalized, since the fidelity of z / |z| is returned.  One
-    _quartic call over all rows; agrees with sector_oracle.state_fidelity
-    sample by sample to roundoff.
-    """
-    return _quartic(_state_forms(ch), np.concatenate([Z.real.T, Z.imag.T]))[0]
 
 
 # Samples per _quartic call when a Haar sample is evaluated.  The

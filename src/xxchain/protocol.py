@@ -239,11 +239,11 @@ def find_transfer_time(
     screens every point on the few modes that carry the edge weight, with a
     certified bound on the rest, and only the points that bound cannot rule
     out are evaluated on all modes.  On the 25 quasi-Rabi windows of the
-    benchmark menu (2.0M points, 6 modes kept) that costs about 36 ns per
-    point on one core of a 2-core x86 VM, against about 120 ns for the
-    all-mode grid.  The result is the chain's whole transfer-time row: it
-    unpacks as (t*, Fbar(t*)), adds F_approx and t1 and records the
-    candidate and the scan's work.
+    benchmark menu (2.0M points, 6 modes kept) that costs 27-39 ns per
+    point on one core of a 2-core x86 VM, against about 2.8 us for
+    _fidelity_at at every point.  The result is the chain's whole
+    transfer-time row: it unpacks as (t*, Fbar(t*)), adds F_approx and t1
+    and records the candidate and the scan's work.
 
     In the quasi-Rabi regime omega0- is taken from the outer four of the
     six edge_modes levels (the lowest two and the highest two; the highest

@@ -32,6 +32,14 @@ def read_csv(path):
     return comments, header, rows
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting the non-JSON tokens NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture(autouse=True)
 def outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("XXCHAIN_OUTPUT_DIR", str(tmp_path))
@@ -126,11 +134,18 @@ class TestExitCodes:
         assert not list(outdir.iterdir())
 
     def test_nonfinite_scan_point_is_an_error_row(self, outdir):
-        argv = ["scan", "--N", "30", "--axis", "h", "--values", "nan,60", "--format", "json"]
-        assert run(argv) == 0
-        payload = json.loads((outdir / "scan.json").read_text())
+        # the failed point's NaNs are null in the manifest and in a JSON data
+        # file, which a strict parser then accepts
+        for fmt in ("csv", "json"):
+            argv = ["scan", "--N", "30", "--axis", "h", "--values", "nan,60", "--format", fmt]
+            assert run(argv) == 0
+            manifest = strict_json(outdir / f"scan.{fmt}.manifest.json")
+            assert manifest["diagnostics"]["truncation_bound"][0] is None
+        payload = strict_json(outdir / "scan.json")
         errors = [dict(zip(payload["columns"], row))["error"] for row in payload["rows"]]
         assert errors == ["barrier field h must be finite, got nan", ""]
+        assert payload["rows"][0][3:9] == [None] * 6
+        assert payload["diagnostics"]["truncation_bound"][0] is None
 
     def test_error_rows_keep_the_header_width(self, outdir):
         # ChainSpec messages hold commas; the error field is quoted, not split

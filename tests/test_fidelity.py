@@ -8,20 +8,20 @@ from scipy.optimize import OptimizeResult
 from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
-    _GRID_BLOCK,
     _MC_BLOCK,
+    _SCREEN_POINTS,
     WorstCaseBudgetWarning,
     _channel_data,
+    _fidelities_in_blocks,
     _fidelity_at,
     _fidelity_bound,
-    _fidelity_samples,
+    _quartic,
     _sphere_objective,
     _state_forms,
     average_fidelity_approx,
     average_fidelity_exact,
     edge_products,
     fidelity_from_edge_amplitudes,
-    fidelity_grid,
     haar_average_mc,
     worst_case_fidelity,
 )
@@ -122,63 +122,54 @@ class TestExactAverage:
 
 
 class TestFidelityGrid:
-    # N = 29 and 200 are quasi-Rabi, N = 46 is Rabi; the sizes cover one
-    # point, partial, exact and overflowing blocks and a partial third block
-    B = _GRID_BLOCK
-    SIZES = (1, B - 1, B, B + 1, 2 * B + 37)
+    # grid sizes of the screen: one point, one chunk of blocks whose last
+    # block is partial, and _SCREEN_POINTS + 1, two chunks with one partial
+    # block in the last
+    SIZES = (1, 1023, 1024, 1025, 2085, _SCREEN_POINTS + 1)
 
     @pytest.mark.parametrize("t0", [0.0, 1234.5])
     @pytest.mark.parametrize("N", [29, 46, 200])
     def test_matches_exact_pointwise(self, N, t0):
+        # N = 29 and 200 are quasi-Rabi, N = 46 is Rabi
         spec = ChainSpec(N=N, h=100.0)
         sd = diagonalize(build_single_particle(spec))
-        products = edge_products(spec, sd)
-        step = 0.37
-        n_max = max(self.SIZES)
-        ref = np.array(
-            [average_fidelity_exact(spec, t0 + j * step, sd).value for j in range(n_max)]
-        )
-        for n in self.SIZES:
-            grid = fidelity_grid(sd.eigenvalues, products, t0, step, n)
-            assert grid.shape == (n,)
-            np.testing.assert_allclose(grid, ref[:n], rtol=0.0, atol=1e-12)
+        ts = t0 + np.arange(64) * 0.37
+        F, _ = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)
+        ref = [average_fidelity_exact(spec, t, sd).value for t in ts]
+        assert F.shape == (64,)
+        np.testing.assert_allclose(F, ref, rtol=0.0, atol=1e-12)
 
     def test_empty_grid_rejected(self):
         spec = ChainSpec(N=10, h=5.0)
         sd = diagonalize(build_single_particle(spec))
         with pytest.raises(ValueError):
-            fidelity_grid(sd.eigenvalues, edge_products(spec, sd), 0.0, 0.1, 0)
-        with pytest.raises(ValueError):
             _fidelity_bound(sd.eigenvalues, edge_products(spec, sd), 0.0, 0.1, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_bound_and_points_against_grid(self, seed):
-        # the screen's bound must hold at every point, also where it keeps
-        # every mode and only its rounding slack separates it from the grid
+        # the screen's bound must hold at every point the scan may evaluate
+        # with _fidelity_at, also where it keeps every mode and only its
+        # rounding slack separates the two
         spec, t0, step = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
         for n in self.SIZES:
-            grid = fidelity_grid(sd.eigenvalues, products, t0, step, n)
             bound = _fidelity_bound(sd.eigenvalues, products, t0, step, n)
             assert bound.upper.shape == (n,)
-            assert np.all(bound.upper >= grid)
             assert 0 <= bound.modes_kept <= spec.N
             assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
-            # the scan evaluates the points the screen keeps with _fidelity_at
             F, _ = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * step)
             assert np.all(bound.upper >= F)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_time_against_grid_and_channel(self, seed):
         # the one-time evaluator of the t* refinement and the transfer rows
-        # against a one-point grid and the ten-term channel amplitudes
+        # against the ten-term channel amplitudes
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
         F, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, products, t0)
         assert isinstance(F, float)
-        assert abs(F - fidelity_grid(sd.eigenvalues, products, t0, 0.0, 1)[0]) <= 1e-14
         bd = average_fidelity_exact(spec, t0, sd)
         assert abs(F - bd.value) <= 1e-12
         amps = (bd.amplitudes[k] for k in ("f11", "f12", "f21", "f22"))
@@ -265,10 +256,9 @@ class TestMonteCarlo:
         # blocked evaluation returns what one pass over all samples does
         spec = ChainSpec(N=8, h=4.0)
         samples = 2 * _MC_BLOCK + 37
-        rng = np.random.default_rng(9)
-        Z = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
-        Z /= np.linalg.norm(Z, axis=1)[:, None]
-        F = _fidelity_samples(_channel_data(spec, 2.0), Z)
+        V = np.random.default_rng(9).standard_normal((2, samples, 4))
+        W = _state_forms(_channel_data(spec, 2.0))
+        F = _quartic(W, V.transpose(0, 2, 1).reshape(8, samples))[0]
         mean, err = haar_average_mc(spec, 2.0, samples, seed=9)
         assert mean == pytest.approx(F.mean(), rel=0.0, abs=1e-15)
         assert err == pytest.approx(F.std(ddof=1) / np.sqrt(samples), rel=1e-12)
@@ -283,13 +273,13 @@ class TestMonteCarlo:
         # fidelity state by state, not just on average, and must evaluate
         # an unnormalized row z as the state z / |z|
         t = 2.3
-        ch = _channel_data(spec, t, receiver_order=order)
+        W = _state_forms(_channel_data(spec, t, receiver_order=order))
         rng = np.random.default_rng(12)
         for _ in range(25):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             z /= np.linalg.norm(z)
-            scaled = rng.uniform(0.1, 10.0) * z
-            fast = _fidelity_samples(ch, np.stack([z, scaled]))
+            Z = np.stack([z, rng.uniform(0.1, 10.0) * z])
+            fast = _fidelities_in_blocks(W, np.stack([Z.real, Z.imag]))
             slow = state_fidelity(spec, TwoQubitState.from_vector(z), t, order)
             assert np.all(np.abs(fast - slow) < 1e-12)
 
@@ -355,11 +345,9 @@ class TestWorstCase:
         spec = ChainSpec(N=8, h=6.0)
         t = 4.4
         _, fmin = worst_case_fidelity(spec, t, restarts=8, seed=6)
-        ch = _channel_data(spec, t)
-        rng = np.random.default_rng(6)
-        Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
-        Z /= np.linalg.norm(Z, axis=1)[:, None]
-        assert fmin <= np.min(_fidelity_samples(ch, Z)) + 1e-12
+        W = _state_forms(_channel_data(spec, t))
+        V = np.random.default_rng(6).standard_normal((2, 10000, 4))
+        assert fmin <= np.min(_fidelities_in_blocks(W, V)) + 1e-12
 
     def test_pinned_minimum(self):
         # the value the derivative-free Nelder-Mead search found on the
@@ -384,11 +372,9 @@ class TestWorstCase:
         spec, t = ChainSpec(N=8, h=6.0), 4.4
         with pytest.warns(WorstCaseBudgetWarning, match="budget"):
             state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
-        ch = _channel_data(spec, t)
-        rng = np.random.default_rng(6)
-        Z = rng.normal(size=(10000, 4)) + 1j * rng.normal(size=(10000, 4))
-        Z /= np.linalg.norm(Z, axis=1)[:, None]
-        assert fmin == pytest.approx(np.min(_fidelity_samples(ch, Z)), abs=1e-15)
+        W = _state_forms(_channel_data(spec, t))
+        V = np.random.default_rng(6).standard_normal((2, 10000, 4))
+        assert fmin == pytest.approx(np.min(_fidelities_in_blocks(W, V)), abs=1e-15)
         assert abs(state_fidelity(spec, state, t) - fmin) < 1e-10
 
     @pytest.mark.parametrize("spec, order", GEOMETRIES)

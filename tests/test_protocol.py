@@ -7,12 +7,11 @@ from conftest import random_grid_chain, reference_fbar
 from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
-    _GRID_BLOCK,
+    _SCREEN_POINTS,
     _fidelity_at,
     _fidelity_derivatives,
     average_fidelity_approx,
     edge_products,
-    fidelity_grid,
 )
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
 from xxchain.protocol import (
@@ -179,8 +178,8 @@ class TestFindTransferTime:
 
 
 class TestPrunedScan:
-    B = _GRID_BLOCK
-    SIZES = (1, B - 1, B, B + 1, 2 * B + 37)
+    # _SCREEN_POINTS + 1 points take the screen two chunks of blocks
+    SIZES = (1, 1023, 1024, 1025, 2085, _SCREEN_POINTS + 1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_full_grid_argmax(self, seed):
@@ -248,7 +247,8 @@ class TestRefine:
         # grid from the seed's t0
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
-        F = fidelity_grid(sd.eigenvalues, edge_products(spec, sd), t0, self.STEP, 200)
+        ts = t0 + np.arange(200) * self.STEP
+        F, _ = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)
         return spec, t0 + int(pick(F)) * self.STEP
 
     @pytest.mark.parametrize("seed", range(20))
