@@ -1,10 +1,13 @@
 """Command-line interface: reproducible CSV/JSON artifacts for every experiment.
 
 Subcommands: spectrum, amplitudes, fidelity, perturb, transfer-time, scan,
-verify.  Every run writes a CSV (or JSON) data file starting with a comment
-header naming the resolved chain spec and the tool version, plus a JSON
-run-manifest with the full configuration and wall time.  Exit codes: 0 on
-success, 1 on validation errors, 2 when the verification suite fails.
+verify.  Each subcommand builds one table; run resolves the chain spec,
+times the call and writes the table as a CSV (or JSON) data file starting
+with a comment header naming the resolved chain spec and the tool version,
+plus a JSON run-manifest with the full configuration and wall time.
+--receiver-order is a fidelity option.  Exit codes: 0 on success, 1 on
+validation errors, 2 when a verify check fails (the manifest lists it
+under "failed").
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .amplitudes import channel_occupation, propagator, propagator_rows, two_particle
+from .amplitudes import channel_occupation, propagator, propagator_rows
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
@@ -41,13 +44,7 @@ from .perturbation import (
     transfer_time_estimate,
 )
 from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan
-from .sector_oracle import (
-    SectorBasis,
-    TwoQubitState,
-    _sector_eig,
-    evolve,
-    reduced_receiver_state,
-)
+from .sector_oracle import TwoQubitState, _sector_eig, evolve, reduced_receiver_state
 from .spectral import (
     classify_chain,
     diagonalize,
@@ -221,54 +218,44 @@ def _environment() -> dict:
     }
 
 
-def _write_result(args, spec, columns, rows, diagnostics=None, t0=None):
+def _write_result(args, spec, columns, rows, diagnostics, t0):
     """Write the data file (CSV or JSON) and its JSON run-manifest."""
     path = _output_path(args, f"{args.subcommand.replace('-', '_')}.csv")
-    header_lines = [
-        f"# xxchain {__version__} :: {args.subcommand}",
-        f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
-        f"receivers={spec.receivers} barriers={spec.barriers}",
-    ]
+    head = {
+        "tool": "xxchain",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "spec": _spec_dict(spec),
+    }
     if args.format == "json":
         if not path.endswith(".json"):
             path = os.path.splitext(path)[0] + ".json"
-        payload = {
-            "tool": "xxchain",
-            "version": __version__,
-            "subcommand": args.subcommand,
-            "spec": _spec_dict(spec),
-            "columns": columns,
-            "rows": rows,
-            "diagnostics": diagnostics or {},
-        }
+        payload = {**head, "columns": columns, "rows": rows, "diagnostics": diagnostics}
         with open(path, "w") as fh:
             json.dump(_finite_or_null(payload), fh, indent=2, default=str, allow_nan=False)
             fh.write("\n")
     else:
         with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
+            fh.write(f"# xxchain {__version__} :: {args.subcommand}\n")
+            fh.write(f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
+                     f"receivers={spec.receivers} barriers={spec.barriers}\n")
             _write_rows(fh, [columns, *rows])
     manifest = {
-        "tool": "xxchain",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "spec": _spec_dict(spec),
+        **head,
         "options": {
             k: v
             for k, v in vars(args).items()
             if k not in ("func", "subcommand") and v is not None
         },
         "output": path,
-        "wall_time_s": time.perf_counter() - t0 if t0 is not None else None,
+        "wall_time_s": time.perf_counter() - t0,
         "environment": _environment(),
-        "diagnostics": diagnostics or {},
+        "diagnostics": diagnostics,
     }
     with open(path + ".manifest.json", "w") as fh:
         json.dump(_finite_or_null(manifest), fh, indent=2, default=str, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
-    return path
 
 
 # Complex entries of propagator_rows per chunk of the amplitudes time grid
@@ -293,11 +280,10 @@ def _time_grid(args):
 
 
 # ---------------------------------------------------------------- subcommands
+# Each _cmd_*(args, spec) returns its table as (columns, rows, diagnostics).
 
 
-def _cmd_spectrum(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_spectrum(args, spec):
     sd = diagonalize(build_single_particle(spec))
     if args.sites:
         sites = _parse_list(args.sites, int)
@@ -319,13 +305,10 @@ def _cmd_spectrum(args):
     diag = {"regime": regime, "localized_indices": list(localized_indices(spec.N))}
     if regime == "quasi-rabi":
         diag["extended_indices"] = list(extended_indices(spec.N))
-    _write_result(args, spec, columns, rows, diag, t0)
-    return 0
+    return columns, rows, diag
 
 
-def _cmd_amplitudes(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_amplitudes(args, spec):
     sd = diagonalize(build_single_particle(spec))
     s1, s2 = spec.senders
     r1, r2 = spec.receivers
@@ -372,17 +355,12 @@ def _cmd_amplitudes(args):
             cols += [z.real, z.imag]
         cols.append(channel_occupation(R[:, [at[s1], at[s2]]], spec))
         rows += np.column_stack(cols).tolist()
-    _write_result(args, spec, columns, rows, None, t0)
-    return 0
+    return columns, rows, {}
 
 
-def _cmd_fidelity(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_fidelity(args, spec):
     if (args.mc_samples or args.worst_case) and args.seed is None:
         raise CliError("--seed is required with --mc-samples or --worst-case")
-    if args.seed is not None and args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
     if args.mc_samples is not None and args.mc_samples < 100:
         raise CliError(f"--mc-samples must be at least 100, got {args.mc_samples}")
     sd = diagonalize(build_single_particle(spec))
@@ -422,32 +400,31 @@ def _cmd_fidelity(args):
                 not any(issubclass(w.category, WorstCaseBudgetWarning) for w in caught)
             )
         rows.append([t, bd.value, fa, mc_mean, mc_err, fmin])
-    diag = {"worst_case_certified": certified} if args.worst_case else None
-    _write_result(args, spec, columns, rows, diag, t0)
-    return 0
+    return columns, rows, {"worst_case_certified": certified} if args.worst_case else {}
 
 
-def _cmd_perturb(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_perturb(args, spec):
     if classify_chain(spec.N) == "quasi-rabi":
         raise CliError(
             f"N = {spec.N} is quasi-Rabi (N = 3n - 1); perturbative quadruplet "
             "energies apply to the Rabi regime only"
         )
+    sd = diagonalize(build_single_particle(spec))
+    idx = localized_indices(spec.N)
+    exact = [float(sd.eigenvalues[k - 1]) for k in idx]
+    freqs = rabi_frequencies(exact)
+    # the t* search's check; it also keeps h = 1e200 from the cubic
+    if freqs.omega1_minus <= 0:
+        raise CliError("degenerate quadruplet: slow envelope frequency is zero")
     try:
         ps = perturbative_energies(spec.N, spec.h)
     except ValueError as exc:
         raise CliError(str(exc))
-    sd = diagonalize(build_single_particle(spec))
-    idx = localized_indices(spec.N)
-    exact = [float(sd.eigenvalues[k - 1]) for k in idx]
     pert = sorted(ps.lambdas.values())
     columns = ["k", "eps_exact", "lambda_perturbative", "rel_error"]
     rows = []
     for k, e, lam in zip(idx, exact, pert):
         rows.append([k, e, lam, abs(lam - e) / max(abs(e), 1e-300)])
-    freqs = rabi_frequencies(exact)
     diag = {
         "cubic_roots": list(ps.roots),
         "omega0_plus": freqs.omega0_plus,
@@ -455,12 +432,9 @@ def _cmd_perturb(args):
         "omega1_plus": freqs.omega1_plus,
         "omega1_minus": freqs.omega1_minus,
         "t1_closed_form": transfer_time_estimate(spec.N, spec.h) if spec.h > 0 else None,
-        "t1_from_spectrum": float(np.pi / (2.0 * freqs.omega1_minus))
-        if freqs.omega1_minus > 0
-        else None,
+        "t1_from_spectrum": float(np.pi / (2.0 * freqs.omega1_minus)),
     }
-    _write_result(args, spec, columns, rows, diag, t0)
-    return 0
+    return columns, rows, diag
 
 
 # The row of one TransferTimeResult, as transfer-time prints it and scan
@@ -475,22 +449,17 @@ def _record_row(r) -> list:
     return [r.N, r.h, r.regime, r.t_star, r.fidelity, r.F_approx, r.t1_estimate, *r.search_window]
 
 
-def _cmd_transfer_time(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_transfer_time(args, spec):
     try:
         rec = find_transfer_time(spec)
     except ArithmeticError as exc:
         raise CliError(str(exc))
     # the grid scan's work goes to the manifest, not the CSV columns
     diag = {key: getattr(rec, key) for key in ("candidate", "candidate_fidelity", *_SEARCH_WORK)}
-    _write_result(args, spec, _RECORD_COLUMNS, [_record_row(rec)], diag, t0)
-    return 0
+    return _RECORD_COLUMNS, [_record_row(rec)], diag
 
 
-def _cmd_scan(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
+def _cmd_scan(args, spec):
     values = _parse_list(args.values, float if args.axis == "h" else int)
     try:
         records = run_scan(spec, args.axis, values)
@@ -498,24 +467,22 @@ def _cmd_scan(args):
         raise CliError(str(exc))
     rows = [_record_row(r) + [r.error] for r in records]
     diag = {key: [getattr(r, key) for r in records] for key in _SEARCH_WORK}
-    _write_result(args, spec, _RECORD_COLUMNS + ["error"], rows, diag, t0)
-    return 0
+    return _RECORD_COLUMNS + ["error"], rows, diag
 
 
-def _cmd_verify(args):
-    t0 = time.perf_counter()
-    spec = _resolve_spec(args)
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise CliError(f"--seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+def _cmd_verify(args, spec):
+    rng = np.random.default_rng(args.seed)
     N = spec.N
     if N > 16:
         raise CliError(f"verify caps N at 16 (two-excitation oracle cost), got {N}")
     sd = diagonalize(build_single_particle(spec))
     # the dense sector eigensolutions, shared with evolve below
     (w1, v1), (w2, v2) = _sector_eig(spec)
-    basis = SectorBasis(N)
+    # the two-excitation basis |n, m>, n < m, in SectorBasis.pairs' order
+    # (0-based sites), and the position of the sender pair in it
+    n, m = np.triu_indices(N, 1)
+    s1, s2 = (s - 1 for s in spec.senders)
+    src = np.flatnonzero((n == s1) & (m == s2))[0]
     checks = []
 
     times = rng.uniform(0.0, 30.0, size=10)
@@ -523,21 +490,19 @@ def _cmd_verify(args):
     # one-excitation propagator and two-excitation determinant (all ordered
     # pairs) vs dense sector evolution, from one propagator per time
     worst1 = worst2 = 0.0
-    src = basis.pair_index[spec.senders]
     for t in times:
-        amp = propagator(sd, t)
+        f = propagator(sd, t).f
         U = (v1 * np.exp(-1j * w1 * t)) @ v1.conj().T
-        worst1 = max(worst1, float(np.max(np.abs(U - amp.f))))
-        U2 = (v2 * np.exp(-1j * w2 * t)) @ v2.conj().T
-        for i, (r, s) in enumerate(basis.pairs):
-            g = two_particle(amp, spec.senders[0], spec.senders[1], r, s)
-            worst2 = max(worst2, abs(g - U2[i, src]))
+        worst1 = max(worst1, float(np.max(np.abs(U - f))))
+        g = f[s1, n] * f[s2, m] - f[s1, m] * f[s2, n]
+        column = v2 @ (np.exp(-1j * w2 * t) * v2[src].conj())
+        worst2 = max(worst2, float(np.max(np.abs(g - column))))
     checks.append(("propagator_vs_dense", worst1, 1e-10))
     checks.append(("two_particle_vs_dense", worst2, 1e-10))
 
     # free-fermion pairing of the two-excitation spectrum
     eps = sd.eigenvalues
-    sums = np.sort(np.array([eps[i] + eps[j] for i in range(N) for j in range(i + 1, N)]))
+    sums = np.sort(eps[n] + eps[m])
     checks.append(("h2_pairwise_sums", float(np.max(np.abs(np.sort(w2) - sums))), 1e-9))
 
     # reduced receiver state: trace, hermiticity, positivity
@@ -556,24 +521,32 @@ def _cmd_verify(args):
     worst = 0.0
     for t in times[:3]:
         bd = average_fidelity_exact(spec, float(t), sd)
-        mean, err = haar_average_mc(spec, float(t), 20000, seed, sd)
+        mean, err = haar_average_mc(spec, float(t), 20000, args.seed, sd)
         worst = max(worst, abs(mean - bd.value) / max(err, 1e-300) / 3.0)
     checks.append(("fidelity_vs_mc_3sigma", worst, 1.0))
 
     columns = ["check", "worst_residual", "tolerance", "status"]
     rows = []
-    failed = False
     for name, residual, tol in checks:
-        ok = residual <= tol
-        failed = failed or not ok
-        rows.append([name, float(residual), float(tol), "PASS" if ok else "FAIL"])
-        print(f"{name}: worst residual {residual:.3e} (tol {tol:.0e}) "
-              f"{'PASS' if ok else 'FAIL'}")
-    _write_result(args, spec, columns, rows, {"seed": seed}, t0)
-    return 2 if failed else 0
+        status = "PASS" if residual <= tol else "FAIL"
+        rows.append([name, float(residual), float(tol), status])
+        print(f"{name}: worst residual {residual:.3e} (tol {tol:.0e}) {status}")
+    failed = [row[0] for row in rows if row[-1] == "FAIL"]
+    return columns, rows, {"seed": args.seed, "failed": failed}
 
 
 # -------------------------------------------------------------------- parser
+
+
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer, as np.random.default_rng takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
 
 
 def _add_spec_options(p):
@@ -591,9 +564,6 @@ def _add_output_options(p):
     p.add_argument("-o", "--output", help="output file (default: <subcommand>.csv "
                    "in $XXCHAIN_OUTPUT_DIR or the working directory)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--receiver-order", dest="receiver_order", choices=("12", "21"),
-                   default="12", help="receiver qubit assignment: '12' puts qubit 1 "
-                   "on the first receiver site, '21' mirrors it")
 
 
 def _add_time_options(p):
@@ -625,9 +595,12 @@ def build_parser() -> _Parser:
                    help="evaluate at the optimal readout time")
     p.add_argument("--mc-samples", dest="mc_samples", type=int,
                    help="Monte-Carlo Haar sample count")
-    p.add_argument("--seed", type=int, help="RNG seed (required for MC / worst case)")
+    p.add_argument("--seed", type=_seed, help="RNG seed (required for MC / worst case)")
     p.add_argument("--worst-case", dest="worst_case", action="store_true",
                    help="also minimize over input states")
+    p.add_argument("--receiver-order", dest="receiver_order", choices=("12", "21"),
+                   default="12", help="receiver qubit assignment: '12' puts qubit 1 "
+                   "on the first receiver site, '21' mirrors it")
     p.set_defaults(func=_cmd_fidelity)
 
     p = sub.add_parser("perturb", help="perturbative quadruplet vs exact spectrum")
@@ -642,7 +615,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="fast path vs brute-force sector oracle")
-    p.add_argument("--seed", type=int, help="RNG seed for the random checks")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed for the random checks")
     p.set_defaults(func=_cmd_verify)
 
     for p in sub.choices.values():
@@ -660,12 +633,17 @@ def _shared_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
+    """Build the subcommand's table and write it; exit 2 on failed checks."""
     try:
         args = _shared_parser().parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        spec = _resolve_spec(args)
+        columns, rows, diagnostics = args.func(args, spec)
+        _write_result(args, spec, columns, rows, diagnostics, t0)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if diagnostics.get("failed") else 0
 
 
 def main(argv=None) -> int:

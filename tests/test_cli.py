@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import xxchain.cli as cli_module
 from xxchain.amplitudes import propagator, two_particle
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
-from xxchain.fidelity import WorstCaseBudgetWarning
+from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact
 from xxchain.protocol import find_transfer_time
 from xxchain.spectral import diagonalize
 
@@ -53,11 +54,60 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_verify_failure_exits_2_and_names_the_checks(self, outdir, monkeypatch):
+        # one entry of the first sender's propagator row moved by 1e-6: the
+        # one- and two-excitation checks fail, the others do not read it
+        real = cli_module.propagator
+
+        def skewed(sd, t):
+            amp = real(sd, t)
+            f = amp.f.copy()
+            f[0, 0] += 1e-6
+            return dataclasses.replace(amp, f=f)
+
+        monkeypatch.setattr(cli_module, "propagator", skewed)
+        assert run(["verify", "--N", "8", "--h", "5", "--seed", "1"]) == 2
+        _, header, rows = read_csv(outdir / "verify.csv")
+        status = {row[0]: row[header.index("status")] for row in rows}
+        failing = ["propagator_vs_dense", "two_particle_vs_dense"]
+        assert [name for name, s in status.items() if s == "FAIL"] == failing
+        assert set(status.values()) == {"PASS", "FAIL"} and len(status) == 5
+        manifest = strict_json(outdir / "verify.csv.manifest.json")
+        assert manifest["diagnostics"] == {"seed": 1, "failed": failing}
+
+    def test_verify_records_its_default_seed(self, outdir):
+        assert run(["verify", "--N", "8", "--h", "5"]) == 0
+        manifest = strict_json(outdir / "verify.csv.manifest.json")
+        assert manifest["options"]["seed"] == 0
+        assert manifest["diagnostics"] == {"seed": 0, "failed": []}
+
     def test_negative_verify_seed_rejected(self, outdir, capsys):
         assert run(["verify", "--N", "8", "--h", "5", "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert "--seed: must be a non-negative integer, got -1" in err
         assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["amplitudes", "--t", "1"],
+            ["perturb"],
+            ["transfer-time"],
+            ["scan", "--axis", "h", "--values", "60"],
+            ["verify", "--N", "8", "--h", "5", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_receiver_order_is_a_fidelity_option(self, argv, outdir, capsys):
+        base = argv if argv[0] == "verify" else argv + ["--N", "30", "--h", "60"]
+        assert run(base + ["--receiver-order", "21"]) == 1
+        assert "unrecognized arguments: --receiver-order 21" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+        assert run(base) == 0
+        manifest = strict_json(next(outdir.glob("*.manifest.json")))
+        assert "receiver_order" not in manifest["options"]
 
     def test_invalid_spec(self, capsys):
         assert run(["spectrum", "--N", "4"]) == 1
@@ -190,12 +240,20 @@ class TestExitCodes:
              "error: degenerate quadruplet"),
             (["fidelity", "--N", "30", "--h", "1e200", "--t-star"],
              "error: degenerate quadruplet"),
+            # perturb checks the exact quadruplet before the cubic sees h
+            (["perturb", "--N", "30", "--h", "1e12"],
+             "error: degenerate quadruplet: slow envelope frequency is zero"),
+            (["perturb", "--N", "30", "--h", "1e200"],
+             "error: degenerate quadruplet: slow envelope frequency is zero"),
         ],
         ids=["h-doubled-overflow", "coupling-doubled-overflow", "transfer-time-degenerate",
-             "fidelity-t-star-degenerate"],
+             "fidelity-t-star-degenerate", "perturb-degenerate-1e12", "perturb-degenerate-1e200"],
     )
     def test_extreme_field_is_an_error_line(self, argv, message, outdir, capsys):
-        assert run(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
@@ -540,12 +598,21 @@ class TestConfigAndDeterminism:
         manifest = json.loads((outdir / "fidelity.csv.manifest.json").read_text())
         assert manifest["diagnostics"]["worst_case_certified"] == [True, False]
 
-    def test_receiver_order_changes_nothing_for_symmetric_average(self, outdir):
-        base = ["fidelity", "--N", "8", "--h", "4", "--t", "2.0"]
-        assert run(base + ["-o", str(outdir / "o12.csv")]) == 0
-        assert run(base + ["--receiver-order", "21", "-o", str(outdir / "o21.csv")]) == 0
-        for name in ("o12.csv", "o21.csv"):
-            assert (outdir / name).exists()
+    def test_receiver_order_sets_f_exact(self, outdir):
+        # off-mirror senders and receivers, so the two assignments differ
+        spec = ChainSpec(N=10, h=5.0, senders=(4, 5), receivers=(2, 8))
+        base = ["fidelity", "--N", "10", "--h", "5", "--senders", "4,5",
+                "--receivers", "2,8", "--t", "2.3"]
+        values = {}
+        for order in ("12", "21"):
+            assert run(base + ["--receiver-order", order, "-o", str(outdir / f"o{order}.csv")]) == 0
+            _, header, (row,) = read_csv(outdir / f"o{order}.csv")
+            values[order] = dict(zip(header, row))
+            expect = average_fidelity_exact(spec, 2.3, receiver_order=order).value
+            assert values[order]["F_exact"] == format(expect, ".12g")
+        assert values["12"]["F_exact"] != values["21"]["F_exact"]
+        # F_approx keeps the spec's receiver order
+        assert values["12"]["F_approx"] == values["21"]["F_approx"]
 
     def test_explicit_output_path(self, outdir):
         target = outdir / "custom"

@@ -5,6 +5,10 @@ src/xxchain must be referenced outside its own definition: as a loaded
 name, an attribute or an imported name, in any module.  Names that only
 tests or scripts use count as dead; the tests exercise the code the
 package runs.
+
+A module-level import must be loaded by its own module.  __init__.py is
+exempt, since its imports are the package's re-exports, and so is
+`from __future__`.
 """
 
 import ast
@@ -55,3 +59,37 @@ def unreferenced(package):
 
 def test_every_module_level_name_is_referenced():
     assert unreferenced(PACKAGE) == []
+
+
+def imported_names(stmt):
+    """The names a module-level import binds; none for `from __future__`."""
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def unused_imports(package):
+    """(module, name) of every module-level import its own module never loads."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            (path.name, name)
+            for stmt in tree.body
+            for name in imported_names(stmt)
+            if name not in loaded
+        ]
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports(PACKAGE) == []
