@@ -599,7 +599,6 @@ class TestConfigAndDeterminism:
         assert manifest["diagnostics"]["worst_case_certified"] == [True, False]
 
     def test_receiver_order_sets_f_exact(self, outdir):
-        # off-mirror senders and receivers, so the two assignments differ
         spec = ChainSpec(N=10, h=5.0, senders=(4, 5), receivers=(2, 8))
         base = ["fidelity", "--N", "10", "--h", "5", "--senders", "4,5",
                 "--receivers", "2,8", "--t", "2.3"]
