@@ -6,8 +6,8 @@ times the call and writes the table as a CSV (or JSON) data file starting
 with a comment header naming the resolved chain spec and the tool version,
 plus a JSON run-manifest with the full configuration and wall time.
 --receiver-order is a fidelity option.  Exit codes: 0 on success, 1 on
-validation errors, 2 when a verify check fails (the manifest lists it
-under "failed").
+validation errors and on output that cannot be written, 2 when a verify
+check fails (the manifest lists it under "failed").
 """
 
 from __future__ import annotations
@@ -218,8 +218,17 @@ def _environment() -> dict:
     }
 
 
+def _dump_json(fh, obj):
+    json.dump(_finite_or_null(obj), fh, indent=2, default=str, allow_nan=False)
+    fh.write("\n")
+
+
 def _write_result(args, spec, columns, rows, diagnostics, t0):
-    """Write the data file (CSV or JSON) and its JSON run-manifest."""
+    """Write the data file (CSV or JSON) and its JSON run-manifest.
+
+    A write that fails removes the files this call wrote, so a data file is
+    never left without its manifest, and raises CliError.
+    """
     path = _output_path(args, f"{args.subcommand.replace('-', '_')}.csv")
     head = {
         "tool": "xxchain",
@@ -227,34 +236,39 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
         "subcommand": args.subcommand,
         "spec": _spec_dict(spec),
     }
-    if args.format == "json":
-        if not path.endswith(".json"):
-            path = os.path.splitext(path)[0] + ".json"
-        payload = {**head, "columns": columns, "rows": rows, "diagnostics": diagnostics}
+    if args.format == "json" and not path.endswith(".json"):
+        path = os.path.splitext(path)[0] + ".json"
+    written = []
+    try:
         with open(path, "w") as fh:
-            json.dump(_finite_or_null(payload), fh, indent=2, default=str, allow_nan=False)
-            fh.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"# xxchain {__version__} :: {args.subcommand}\n")
-            fh.write(f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
-                     f"receivers={spec.receivers} barriers={spec.barriers}\n")
-            _write_rows(fh, [columns, *rows])
-    manifest = {
-        **head,
-        "options": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "subcommand") and v is not None
-        },
-        "output": path,
-        "wall_time_s": time.perf_counter() - t0,
-        "environment": _environment(),
-        "diagnostics": diagnostics,
-    }
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump(_finite_or_null(manifest), fh, indent=2, default=str, allow_nan=False)
-        fh.write("\n")
+            written.append(path)
+            if args.format == "json":
+                _dump_json(fh, {**head, "columns": columns, "rows": rows,
+                                "diagnostics": diagnostics})
+            else:
+                fh.write(f"# xxchain {__version__} :: {args.subcommand}\n")
+                fh.write(f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
+                         f"receivers={spec.receivers} barriers={spec.barriers}\n")
+                _write_rows(fh, [columns, *rows])
+        manifest = {
+            **head,
+            "options": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("func", "subcommand") and v is not None
+            },
+            "output": path,
+            "wall_time_s": time.perf_counter() - t0,
+            "environment": _environment(),
+            "diagnostics": diagnostics,
+        }
+        with open(path + ".manifest.json", "w") as fh:
+            written.append(fh.name)
+            _dump_json(fh, manifest)
+    except OSError as exc:
+        for name in written:
+            os.remove(name)
+        raise CliError(f"cannot write {path}: {exc}")
     print(f"wrote {path}")
 
 
@@ -359,6 +373,8 @@ def _cmd_amplitudes(args, spec):
 
 
 def _cmd_fidelity(args, spec):
+    if args.t_star and args.t is not None:
+        raise CliError("--t and --t-star cannot be used together")
     if (args.mc_samples or args.worst_case) and args.seed is None:
         raise CliError("--seed is required with --mc-samples or --worst-case")
     if args.mc_samples is not None and args.mc_samples < 100:
@@ -403,7 +419,7 @@ def _cmd_fidelity(args, spec):
     return columns, rows, {"worst_case_certified": certified} if args.worst_case else {}
 
 
-def _cmd_perturb(args, spec):
+def _cmd_perturb(_args, spec):
     if classify_chain(spec.N) == "quasi-rabi":
         raise CliError(
             f"N = {spec.N} is quasi-Rabi (N = 3n - 1); perturbative quadruplet "
@@ -449,7 +465,7 @@ def _record_row(r) -> list:
     return [r.N, r.h, r.regime, r.t_star, r.fidelity, r.F_approx, r.t1_estimate, *r.search_window]
 
 
-def _cmd_transfer_time(args, spec):
+def _cmd_transfer_time(_args, spec):
     try:
         rec = find_transfer_time(spec)
     except ArithmeticError as exc:

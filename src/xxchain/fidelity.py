@@ -18,11 +18,15 @@ For the XX chain every one of these quantities, and the fidelity of any
 single input state, depends on the two sender rows w1 = f_{s1}^n(t) and
 w2 = f_{s2}^n(t) alone, since each two-excitation amplitude is a 2x2
 determinant of them.  The exact value, the Monte-Carlo average and the
-worst case therefore share one channel record built in O(N) from those
-rows (one real matrix product with the eigenvectors): no N x N propagator
-or two-excitation matrix is formed, and the probability that both
-excitations leak is the Lagrange identity ||u||^2 ||v||^2 - |<u, v>|^2
-instead of a sum over site pairs.
+worst case therefore share one channel record per time, built in O(N)
+from those rows (one real matrix product with the eigenvectors):
+_channel_data returns the 4 x 4 transfer block E0 and the 5 x 5 Gram
+matrix K of the leaked amplitudes.  Then Fbar = (|Tr E0|^2 + ||E0||_F^2 +
+Tr K) / 20, whose summands are the ten-term breakdown, and an input z has
+fidelity F(z) = |z^H E0 z|^2 + l^H K l for its five leak products l.  No
+N x N propagator or two-excitation matrix is formed, and the probability
+that both excitations leak is the Lagrange identity ||u||^2 ||v||^2 -
+|<u, v>|^2 instead of a sum over site pairs.
 
 The fidelity of one input state is a quartic form in its four amplitudes.
 _state_forms writes it as a sum of squares of 12 real linear forms in the
@@ -65,53 +69,38 @@ class FidelityBreakdown:
     amplitudes: dict[str, complex]
 
 
-def _spectral_for(spec: ChainSpec, sd: SpectralData | None) -> SpectralData:
-    return sd if sd is not None else diagonalize(build_single_particle(spec))
+def _channel_data(
+    spec: ChainSpec, t: float, sd: SpectralData | None = None, receiver_order: str = "12"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The channel from the sender pair to the receiver pair at time t, built in O(N).
 
+    Returns (E0, K).  E0 is the 4 x 4 transfer block with q_0 = z^H E0 z for
+    an input z = (alpha, beta, gamma, delta): the vacuum, the four
+    one-excitation amplitudes f_s^r and the pair amplitude g at the
+    receivers.  K = diag(M, pair_leak) is the 5 x 5 Gram matrix of the
+    amplitudes that leak outside the receivers.
 
-def _receiver_sites(spec: ChainSpec, receiver_order: str) -> tuple[int, int]:
+    Everything follows from the propagator rows w1 = f_{s1}^n, w2 =
+    f_{s2}^n of the sender sites, because the two-excitation amplitude of
+    the XX chain is the determinant g_{s1 s2}^{nm} = w1[n] w2[m] - w2[n]
+    w1[m] for n < m: g is that determinant at the ordered receiver pair,
+    and X_r[n] = sigma_r(n) (w1[n] w2[r] - w2[n] w1[r]), with sigma_r(n) =
+    +1 for n < r and -1 otherwise, is the amplitude of one excitation on
+    receiver r and the other on site n.  M is the 4x4 Gram matrix B* B^T of
+    the channel vectors B = (w2, w1, X2, X1) restricted to the N - 2
+    non-receiver sites; its diagonal holds the single-leakage and pair-edge
+    probabilities.  pair_leak, the probability that both excitations leak
+    outside the receivers, is the sum of |g|^2 over ordered pairs of those
+    sites; by the Lagrange identity it equals ||u||^2 ||v||^2 - |<u, v>|^2
+    for the restricted rows u, v, the determinant of M's leading 2x2 block.
+    """
+    if sd is None:
+        sd = diagonalize(build_single_particle(spec))
     r1, r2 = spec.receivers
     if receiver_order == "21":
         r1, r2 = r2, r1
     elif receiver_order != "12":
         raise ValueError(f"receiver_order must be '12' or '21', got {receiver_order!r}")
-    return r1, r2
-
-
-@dataclass(frozen=True)
-class _ChannelData:
-    """Fast-path quantities for fidelity evaluation at one time, built in O(N).
-
-    w1/w2 are the propagator rows f_{s1}^n, f_{s2}^n of the sender sites.
-    Everything else follows from them, because the two-excitation amplitude
-    of the XX chain is the determinant g_{s1 s2}^{nm} = w1[n] w2[m] -
-    w2[n] w1[m] for n < m: g11 is that determinant at the ordered receiver
-    pair, and X_r[n] = sigma_r(n) (w1[n] w2[r] - w2[n] w1[r]), with
-    sigma_r(n) = +1 for n < r and -1 otherwise, is the amplitude of one
-    excitation on receiver r and the other on site n.  M is the 4x4 Gram
-    matrix B* B^T of the channel vectors B = (w2, w1, X2, X1) restricted to
-    the N - 2 non-receiver sites; its diagonal holds the single-leakage and
-    pair-edge probabilities.  pair_leak, the probability that both
-    excitations leak outside the receivers, is the sum of |g|^2 over
-    ordered pairs of those sites; by the Lagrange identity it equals
-    ||u||^2 ||v||^2 - |<u, v>|^2 for the restricted rows u, v, the
-    determinant of M's leading 2x2 block.
-    """
-
-    r1: int
-    r2: int
-    w1: np.ndarray
-    w2: np.ndarray
-    g11: complex
-    M: np.ndarray
-    pair_leak: float
-
-
-def _channel_data(
-    spec: ChainSpec, t: float, sd: SpectralData | None = None, receiver_order: str = "12"
-) -> _ChannelData:
-    sd = _spectral_for(spec, sd)
-    r1, r2 = _receiver_sites(spec, receiver_order)
     w1, w2 = propagator_rows(sd, spec.senders, [t])[0]
     notR = np.ones(spec.N, dtype=bool)
     notR[[r1 - 1, r2 - 1]] = False
@@ -123,10 +112,16 @@ def _channel_data(
 
     B = np.stack([w2[notR], w1[notR], leaked(r2), leaked(r1)])
     M = B.conj() @ B.T
-    pair_leak = max(0.0, float(np.real(M[0, 0] * M[1, 1]) - abs(M[0, 1]) ** 2))
+    K = np.zeros((5, 5), dtype=complex)
+    K[:4, :4] = M
+    K[4, 4] = max(0.0, float(np.real(M[0, 0] * M[1, 1]) - abs(M[0, 1]) ** 2))
     a, b = sorted((r1, r2))
-    g11 = complex(w1[a - 1] * w2[b - 1] - w2[a - 1] * w1[b - 1])
-    return _ChannelData(r1=r1, r2=r2, w1=w1, w2=w2, g11=g11, M=M, pair_leak=pair_leak)
+    E0 = np.zeros((4, 4), dtype=complex)
+    E0[0, 0] = 1.0
+    E0[1, 1:3] = w2[r2 - 1], w1[r2 - 1]
+    E0[2, 1:3] = w2[r1 - 1], w1[r1 - 1]
+    E0[3, 3] = w1[a - 1] * w2[b - 1] - w2[a - 1] * w1[b - 1]
+    return E0, K
 
 
 def average_fidelity_exact(
@@ -142,12 +137,11 @@ def average_fidelity_exact(
     equivalent compact form.  At t = 0 with default geometry the value is
     exactly 1/4; a perfect mirror transfer gives 1.
     """
-    ch = _channel_data(spec, t, sd, receiver_order)
-    f11, f12 = complex(ch.w1[ch.r1 - 1]), complex(ch.w1[ch.r2 - 1])
-    f21, f22 = complex(ch.w2[ch.r1 - 1]), complex(ch.w2[ch.r2 - 1])
-    g = ch.g11
+    E0, K = _channel_data(spec, t, sd, receiver_order)
+    (f22, f12), (f21, f11) = E0[1:3, 1:3].tolist()
+    g = complex(E0[3, 3])
     # direct sums over the non-receiver sites, not complements by unitarity
-    single_leak_2, single_leak_1, pair_edge_r2, pair_edge_r1 = np.diag(ch.M).real.tolist()
+    single_leak_2, single_leak_1, pair_edge_r2, pair_edge_r1, pair_leak = np.diag(K).real.tolist()
 
     terms = {
         "coherent_return": abs(1.0 + f11 + f22 + g) ** 2 / 20.0,
@@ -159,7 +153,7 @@ def average_fidelity_exact(
         "single_leakage_s2": single_leak_2 / 20.0,
         "pair_edge_leakage_r1": pair_edge_r1 / 20.0,
         "pair_edge_leakage_r2": pair_edge_r2 / 20.0,
-        "pair_leakage": ch.pair_leak / 20.0,
+        "pair_leakage": pair_leak / 20.0,
     }
     value = float(sum(terms.values()))
     amps = {"f11": f11, "f12": f12, "f21": f21, "f22": f22, "g": g}
@@ -368,24 +362,9 @@ _MONOMIALS = tuple(
 )
 # Pairs (a, b) of the products conj(z_a) z_b that carry the incoherent part
 # of the state fidelity: alpha* beta, alpha* gamma, beta* delta, gamma* delta
-# (the Gram rows of _ChannelData.M) and alpha* delta (the pair leakage).
+# (the Gram rows of M in _channel_data's K) and alpha* delta (the pair
+# leakage).
 _LEAK_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3))
-
-
-def _transfer_block(ch: _ChannelData) -> np.ndarray:
-    """The 4x4 matrix E_0 with q_0 = z^H E_0 z for z = (alpha, beta, gamma, delta).
-
-    q_0 is the overlap of the input with the transferred state: the vacuum,
-    the two one-excitation amplitudes and the pair amplitude at the
-    receivers.
-    """
-    r1, r2 = ch.r1 - 1, ch.r2 - 1
-    E0 = np.zeros((4, 4), dtype=complex)
-    E0[0, 0] = 1.0
-    E0[1, 1:3] = ch.w2[r2], ch.w1[r2]
-    E0[2, 1:3] = ch.w2[r1], ch.w1[r1]
-    E0[3, 3] = ch.g11
-    return E0
 
 
 def _monomial_coefficients(A: np.ndarray) -> np.ndarray:
@@ -399,32 +378,32 @@ def _monomial_coefficients(A: np.ndarray) -> np.ndarray:
     return (T + T.T - np.diag(T.diagonal()))[_MONOMIALS]
 
 
-def _state_forms(ch: _ChannelData) -> np.ndarray:
+# The coefficients of the five products of _LEAK_PAIRS on the monomials, one
+# column each
+_LEAK_COEFFICIENTS = np.column_stack(
+    [_monomial_coefficients(np.outer(np.eye(4)[a], np.eye(4)[b])) for a, b in _LEAK_PAIRS]
+)
+
+
+def _state_forms(E0: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The state fidelity at one time as a sum of squares of real linear forms.
 
-    For an input z = (alpha, beta, gamma, delta) the fidelity is
+    For an input z = (alpha, beta, gamma, delta) and the channel (E0, K) of
+    _channel_data the fidelity is
 
-        F(z) = |q_0|^2 + c^H M c + pair_leak |conj(alpha) delta|^2,
+        F(z) = |q_0|^2 + l^H K l,
 
-    with q_0 = z^H E_0 z (_transfer_block) and c the first four products
-    of _LEAK_PAIRS.  The last two terms are l^H K l for all five products l
-    and K = diag(M, pair_leak), which is ||R l||^2 with R = sqrt(lambda) V^H
-    from K = V diag(lambda) V^H.  q_0 and R l are complex linear in the
-    monomials m(z), so F(z) = ||W^T m(z)||^2 for the real matrix W
-    returned here, of shape (32, 12): its columns hold the real, then the
-    imaginary parts of the coefficients of q_0 and of the five entries of
-    R l.
+    with q_0 = z^H E0 z and l the five products of _LEAK_PAIRS: the first
+    four pair with M, the last is |conj(alpha) delta|^2 weighted by
+    pair_leak.  l^H K l = ||R l||^2 with R = sqrt(lambda) V^H from K = V
+    diag(lambda) V^H.  q_0 and R l are complex linear in the monomials
+    m(z), so F(z) = ||W^T m(z)||^2 for the real matrix W returned here, of
+    shape (32, 12): its columns hold the real, then the imaginary parts of
+    the coefficients of q_0 and of the five entries of R l.
     """
-    K = np.zeros((5, 5), dtype=complex)
-    K[:4, :4] = ch.M
-    K[4, 4] = ch.pair_leak
     lam, V = np.linalg.eigh(K)
     R = np.sqrt(np.clip(lam, 0.0, None))[:, None] * V.conj().T
-    unit = np.eye(4)
-    leak = np.column_stack(
-        [_monomial_coefficients(np.outer(unit[a], unit[b])) for a, b in _LEAK_PAIRS]
-    )
-    coef = np.column_stack([_monomial_coefficients(_transfer_block(ch)), leak @ R.T])
+    coef = np.column_stack([_monomial_coefficients(E0), _LEAK_COEFFICIENTS @ R.T])
     return np.hstack([coef.real, coef.imag])
 
 
@@ -478,7 +457,7 @@ def haar_average_mc(
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     rng = np.random.default_rng(seed)
-    W = _state_forms(_channel_data(spec, t, sd, receiver_order))
+    W = _state_forms(*_channel_data(spec, t, sd, receiver_order))
     # the real, then the imaginary parts of the Gaussian vectors: the numbers
     # of two (samples, 4) draws in that order; _quartic normalizes
     F = _fidelities_in_blocks(W, rng.standard_normal((2, samples, 4)))
@@ -538,7 +517,7 @@ def worst_case_fidelity(
     # scipy.optimize, and the README gives its import cost
     from scipy.optimize import minimize
 
-    forms = _state_forms(_channel_data(spec, t, sd, receiver_order))
+    forms = _state_forms(*_channel_data(spec, t, sd, receiver_order))
     rng = np.random.default_rng(seed)
 
     # certification sample: the optimum must not sit above the empirical min

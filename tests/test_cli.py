@@ -109,6 +109,29 @@ class TestExitCodes:
         manifest = strict_json(next(outdir.glob("*.manifest.json")))
         assert "receiver_order" not in manifest["options"]
 
+    @pytest.mark.parametrize(
+        "output, blocker",
+        [("MISSING/t.csv", None), ("t.csv", "t.csv.manifest.json")],
+        ids=["data-dir-missing", "manifest-is-a-dir"],
+    )
+    def test_write_error_is_an_error_line(self, output, blocker, outdir, capsys):
+        # a missing directory fails the data write; a directory in the
+        # manifest's place fails the manifest write after the data file was
+        # written, which must not be left without its manifest
+        if blocker:
+            (outdir / blocker).mkdir()
+        assert run(["transfer-time", "--N", "30", "--h", "60", "-o", output]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in outdir.iterdir()] == ([blocker] if blocker else [])
+
+    def test_t_with_t_star_rejected(self, outdir, capsys):
+        assert run(["fidelity", "--N", "10", "--h", "5", "--t", "3", "--t-star"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--t and --t-star" in err
+        assert not list(outdir.iterdir())
+
     def test_invalid_spec(self, capsys):
         assert run(["spectrum", "--N", "4"]) == 1
         assert "error" in capsys.readouterr().err.lower()

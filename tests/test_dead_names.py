@@ -9,6 +9,10 @@ package runs.
 A module-level import must be loaded by its own module.  __init__.py is
 exempt, since its imports are the package's re-exports, and so is
 `from __future__`.
+
+Every parameter of a function must be loaded by the function's body,
+except self, cls and names that start with "_", which a caller's calling
+convention may force on a function that does not read them.
 """
 
 import ast
@@ -93,3 +97,34 @@ def unused_imports(package):
 
 def test_every_module_level_import_is_used():
     assert unused_imports(PACKAGE) == []
+
+
+def unused_parameters(package):
+    """(module, function, parameter) of every parameter its body never loads."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            loaded = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unused += [
+                (path.name, node.name, p.arg)
+                for p in params
+                if p is not None
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+                and p.arg not in loaded
+            ]
+    return unused
+
+
+def test_every_parameter_is_used():
+    assert unused_parameters(PACKAGE) == []

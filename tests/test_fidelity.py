@@ -85,6 +85,46 @@ class TestExactAverage:
         bd = average_fidelity_exact(spec, t, receiver_order=order)
         assert abs(bd.value - (4.0 * F_e + 1.0) / 5.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [
+            *GEOMETRIES,
+            pytest.param(ChainSpec(N=10, h=5.0, senders=(4, 5), receivers=(2, 8)), "21",
+                         id="N10-s45-r28-order21"),
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.0, 2.3, 17.9])
+    def test_channel_record_is_the_oracle_kraus_operators(self, spec, order, t):
+        # the Kraus operators K_c of the dense sector oracle, built as in
+        # test_nielsen_relation: E0 is K_() itself, a single leak c = (n,)
+        # reaches the receivers only through the four entries k_c, whose
+        # Gram sum is M, and a pair leak c = (n, m) only through the
+        # vacuum-from-pair entry, whose squared sum is pair_leak
+        columns = [
+            _receiver_vectors(spec, evolve(spec, TwoQubitState.from_vector(e), t), order)
+            for e in np.eye(4)
+        ]
+        zero = np.zeros(4)
+        kraus = {
+            c: np.column_stack([col.get(c, zero) for col in columns])
+            for c in set().union(*columns)
+        }
+        E0, K = _channel_data(spec, t, receiver_order=order)
+        assert np.abs(E0 - kraus.pop(())).max() < 1e-12
+        single = ([0, 0, 1, 2], [1, 2, 3, 3])
+        expected = np.zeros((5, 5), dtype=complex)
+        for c, Kc in kraus.items():
+            if len(c) == 1:
+                k = Kc[single]
+                expected[:4, :4] += np.outer(k.conj(), k)
+                Kc[single] = 0.0
+            else:
+                expected[4, 4] += abs(Kc[0, 3]) ** 2
+                Kc[0, 3] = 0.0
+            assert np.all(Kc == 0.0)
+        assert np.abs(K - expected).max() < 1e-12
+        assert abs(np.linalg.norm(E0) ** 2 + np.trace(K).real - 4.0) < 1e-12
+
     def test_memory_is_linear_in_chain_length(self):
         # the channel is built from the two sender rows: at N = 1000 one
         # real N x N matrix would take 8 MB
@@ -257,7 +297,7 @@ class TestMonteCarlo:
         spec = ChainSpec(N=8, h=4.0)
         samples = 2 * _MC_BLOCK + 37
         V = np.random.default_rng(9).standard_normal((2, samples, 4))
-        W = _state_forms(_channel_data(spec, 2.0))
+        W = _state_forms(*_channel_data(spec, 2.0))
         F = _quartic(W, V.transpose(0, 2, 1).reshape(8, samples))[0]
         mean, err = haar_average_mc(spec, 2.0, samples, seed=9)
         assert mean == pytest.approx(F.mean(), rel=0.0, abs=1e-15)
@@ -273,7 +313,7 @@ class TestMonteCarlo:
         # fidelity state by state, not just on average, and must evaluate
         # an unnormalized row z as the state z / |z|
         t = 2.3
-        W = _state_forms(_channel_data(spec, t, receiver_order=order))
+        W = _state_forms(*_channel_data(spec, t, receiver_order=order))
         rng = np.random.default_rng(12)
         for _ in range(25):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -345,7 +385,7 @@ class TestWorstCase:
         spec = ChainSpec(N=8, h=6.0)
         t = 4.4
         _, fmin = worst_case_fidelity(spec, t, restarts=8, seed=6)
-        W = _state_forms(_channel_data(spec, t))
+        W = _state_forms(*_channel_data(spec, t))
         V = np.random.default_rng(6).standard_normal((2, 10000, 4))
         assert fmin <= np.min(_fidelities_in_blocks(W, V)) + 1e-12
 
@@ -372,14 +412,14 @@ class TestWorstCase:
         spec, t = ChainSpec(N=8, h=6.0), 4.4
         with pytest.warns(WorstCaseBudgetWarning, match="budget"):
             state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
-        W = _state_forms(_channel_data(spec, t))
+        W = _state_forms(*_channel_data(spec, t))
         V = np.random.default_rng(6).standard_normal((2, 10000, 4))
         assert fmin == pytest.approx(np.min(_fidelities_in_blocks(W, V)), abs=1e-15)
         assert abs(state_fidelity(spec, state, t) - fmin) < 1e-10
 
     @pytest.mark.parametrize("spec, order", GEOMETRIES)
     def test_gradient_matches_central_differences(self, spec, order):
-        forms = _state_forms(_channel_data(spec, 2.3, receiver_order=order))
+        forms = _state_forms(*_channel_data(spec, 2.3, receiver_order=order))
         rng = np.random.default_rng(21)
         step = 1e-6
         for _ in range(5):
