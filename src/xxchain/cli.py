@@ -131,18 +131,6 @@ def _resolve_spec(args) -> ChainSpec:
         raise CliError(f"invalid chain spec: {exc}")
 
 
-def _spec_dict(spec: ChainSpec) -> dict:
-    return {
-        "N": spec.N,
-        "h": spec.h,
-        "couplings": list(spec.couplings),
-        "fields": list(spec.fields),
-        "senders": list(spec.senders),
-        "receivers": list(spec.receivers),
-        "barriers": list(spec.barriers),
-    }
-
-
 def _fmt(x):
     # ".12g" already spells nan (of either sign), inf, -inf and -0
     if isinstance(x, float):
@@ -234,7 +222,8 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
         "tool": "xxchain",
         "version": __version__,
         "subcommand": args.subcommand,
-        "spec": _spec_dict(spec),
+        # the spec's fields; dataclasses.asdict would deep-copy each float
+        "spec": vars(spec),
     }
     if args.format == "json" and not path.endswith(".json"):
         path = os.path.splitext(path)[0] + ".json"
@@ -250,13 +239,12 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
                 fh.write(f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
                          f"receivers={spec.receivers} barriers={spec.barriers}\n")
                 _write_rows(fh, [columns, *rows])
+        unused = {"func", "subcommand"}
+        if getattr(args, "t", None) is not None or getattr(args, "t_star", False):
+            unused |= {"t0", "t1", "steps"}  # one time, not the grid
         manifest = {
             **head,
-            "options": {
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("func", "subcommand") and v is not None
-            },
+            "options": {k: v for k, v in vars(args).items() if k not in unused and v is not None},
             "output": path,
             "wall_time_s": time.perf_counter() - t0,
             "environment": _environment(),
@@ -396,7 +384,7 @@ def _cmd_fidelity(args, spec):
     for t in ts:
         t = float(t)
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        _, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, products, t)
+        f11, f12, f21, _ = _fidelity_at(sd.eigenvalues, products, t)[3]
         fa = average_fidelity_approx(f11, f12, f21)
         mc_mean = mc_err = fmin = float("nan")
         if args.mc_samples:
@@ -447,7 +435,7 @@ def _cmd_perturb(_args, spec):
         "omega0_minus": freqs.omega0_minus,
         "omega1_plus": freqs.omega1_plus,
         "omega1_minus": freqs.omega1_minus,
-        "t1_closed_form": transfer_time_estimate(spec.N, spec.h) if spec.h > 0 else None,
+        "t1_closed_form": transfer_time_estimate(spec.N, spec.h),
         "t1_from_spectrum": float(np.pi / (2.0 * freqs.omega1_minus)),
     }
     return columns, rows, diag

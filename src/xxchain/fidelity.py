@@ -171,43 +171,34 @@ def fidelity_from_edge_amplitudes(f11: complex, f22: complex, g: complex) -> flo
 
 
 def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t):
-    """Exact average fidelity at a time t or an array of times, with the edge amplitudes.
+    """Exact average fidelity and its first two time derivatives at t or an array of times.
 
-    products comes from edge_products; the amplitudes (f11, f12, f21, f22)
-    are one product exp(-i eps t) @ products, a row of four per time.  At
-    N = 30 one time takes about 13 us on one thread of a 2-core x86 VM.
-    Returns (fidelity, amplitudes), the fidelity a float for a scalar t.
-    """
-    f = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ products
-    f11, f12, f21, f22 = f.T
-    F = fidelity_from_edge_amplitudes(f11, f22, f11 * f22 - f12 * f21)
-    return (float(F) if np.ndim(F) == 0 else F), f
-
-
-def _fidelity_derivatives(eigenvalues: np.ndarray, products: np.ndarray, t: float):
-    """Exact average fidelity at t with its first two time derivatives.
-
-    The edge amplitudes f = sum_k exp(-i eps_k t) p_k are finite
-    trigonometric sums, so f' and f'' come from the same phases: one
-    product exp(-i eps t) @ [p, -i eps p, -eps^2 p].  With the coherent
-    amplitude c = (1 + f11)(1 + f22) - f12 f21 and Fbar = (4 + |c|^2)/20,
-    Fbar' = Re(conj(c) c')/10 and Fbar'' = (|c'|^2 + Re(conj(c) c''))/10;
-    c is summed in _fidelity_at's order, so Fbar is the value it returns up
-    to the order of the mode sums.  Returns (Fbar, Fbar', Fbar'').
+    products comes from edge_products.  The edge amplitudes f = sum_k
+    exp(-i eps_k t) p_k are finite trigonometric sums, so f' and f'' come
+    from the same phases: one product exp(-i eps t) @ [p, -i eps p, -eps^2
+    p].  With the coherent amplitude c = (1 + f11)(1 + f22) - f12 f21,
+    summed in fidelity_from_edge_amplitudes' order, Fbar = (4 + |c|^2)/20,
+    Fbar' = Re(conj(c) c')/10 and Fbar'' = (|c'|^2 + Re(conj(c) c''))/10.
+    At N = 30 one time takes about 26 us on one thread of a 2-core x86 VM.
+    Returns (Fbar, Fbar', Fbar'', f), the first three floats for a scalar
+    t; f holds the amplitudes (f11, f12, f21, f22), a row of four per time.
     """
     e = eigenvalues[:, None]
-    f, d1, d2 = (np.exp(-1j * eigenvalues * t) @ np.hstack(
+    x = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ np.hstack(
         [products, -1j * e * products, -(e * e) * products]
-    )).reshape(3, 4)
-    f11, f12, f21, f22 = f
-    a11, a12, a21, a22 = d1
-    b11, b12, b21, b22 = d2
+    )
+    # the amplitudes, then their first and their second derivatives
+    f11, f12, f21, f22, a11, a12, a21, a22, b11, b12, b21, b22 = x.T
     c = 1.0 + f11 + f22 + (f11 * f22 - f12 * f21)
     c1 = a11 * (1.0 + f22) + (1.0 + f11) * a22 - a12 * f21 - f12 * a21
     c2 = (b11 * (1.0 + f22) + 2.0 * a11 * a22 + (1.0 + f11) * b22
           - b12 * f21 - 2.0 * a12 * a21 - f12 * b21)
-    return (float((4.0 + abs(c) ** 2) / 20.0), float((c.conjugate() * c1).real / 10.0),
-            float((abs(c1) ** 2 + (c.conjugate() * c2).real) / 10.0))
+    F = (4.0 + abs(c) ** 2) / 20.0
+    F1 = (c.conjugate() * c1).real / 10.0
+    F2 = (abs(c1) ** 2 + (c.conjugate() * c2).real) / 10.0
+    if np.ndim(t) == 0:
+        return float(F), float(F1), float(F2), x[..., :4]
+    return F, F1, F2, x[..., :4]
 
 
 def edge_products(spec: ChainSpec, sd: SpectralData) -> np.ndarray:

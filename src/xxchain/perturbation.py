@@ -156,14 +156,17 @@ def transfer_time_estimate(N: int, h: float) -> float:
 
     t1 = (pi/2) h^2 + (-1)^{N mod 3} (N mod 2) (pi/2) h: quadratic in the
     barrier field with an odd-N linear correction.  Only meaningful for
-    N != 3n - 1; quasi-Rabi chains follow a linear law instead.
+    N != 3n - 1; quasi-Rabi chains follow a linear law instead.  nan where
+    t1 is not a positive time: at h = 0, at h <= 1 for odd N with N mod 3 =
+    1 (N = 7, h = 0.5 gives -0.39) and where h^2 underflows.
     """
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    if h < 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     if N % 3 == 2:
         raise ValueError(
             f"N = {N} is quasi-Rabi (N = 3n - 1); the quadratic estimate does not apply"
         )
-    return float(
+    t1 = float(
         (np.pi / 2.0) * h * h + ((-1.0) ** (N % 3)) * (N % 2) * (np.pi / 2.0) * h
     )
+    return t1 if t1 > 0.0 else float("nan")

@@ -21,14 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ChainSpec, build_single_particle
-from .fidelity import (
-    _fidelity_at,
-    _fidelity_bound,
-    _fidelity_derivatives,
-    average_fidelity_approx,
-    edge_products,
-)
-from .perturbation import rabi_frequencies, transfer_time_estimate
+from .fidelity import _fidelity_at, _fidelity_bound, average_fidelity_approx, edge_products
+from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
 from .spectral import SpectralData, classify_chain, diagonalize, edge_modes
 
 
@@ -59,9 +53,10 @@ class TransferTimeResult:
     The row of `xxchain transfer-time` and one point of scan; unpacks as
     (t_star, fidelity).  fidelity and F_approx come from the same edge
     amplitudes at t*; t1_estimate is the closed-form Rabi estimate, nan for
-    a quasi-Rabi chain or h = 0.  candidate/candidate_fidelity record the
-    regime's analytic candidate (the scan's best point where it has none)
-    before refinement; search_window the time interval actually scanned.
+    a quasi-Rabi chain or where it is not a positive time.
+    candidate/candidate_fidelity record the regime's analytic candidate
+    (the scan's best point where it has none) before refinement;
+    search_window the time interval actually scanned.
     The grid scan's work: grid_points in the window, modes_kept by its
     screen (fidelity._fidelity_bound) with the truncation_bound D on the
     coherent amplitude, and grid_points_exact, the points evaluated on all
@@ -136,25 +131,28 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
-def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float) -> float:
+def _refine(
+    sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float
+) -> tuple[float, float, np.ndarray]:
     """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
 
     A safeguarded Newton iteration on Fbar' over the offset s = t - t0 in
     [max(-t0, -halfwidth), halfwidth], with Fbar' and Fbar'' exact from
-    fidelity._fidelity_derivatives.  The sign of Fbar' at each point shrinks
-    the bracket; the next point is the Newton step s - Fbar'/Fbar'' where
+    fidelity._fidelity_at.  The sign of Fbar' at each point shrinks the
+    bracket; the next point is the Newton step s - Fbar'/Fbar'' where
     Fbar'' < 0 and the step stays inside the bracket, and the bracket's
     midpoint otherwise.  It stops once the Newton step's predicted gain
     -Fbar'^2/(2 Fbar'') is below one ulp of Fbar, or once the next point
     would not move t inside the bracket, and returns the best point
-    evaluated: t0 unless another is above Fbar(t0).  From the scan's best
-    grid point it lands on the stationary point in two or three
-    evaluations; a peak at a bracket end is reached by bisection.
+    evaluated as (t, Fbar(t), amplitudes at t): t0 unless another is above
+    Fbar(t0).  From the scan's best grid point it lands on the stationary
+    point in two or three evaluations; a peak at a bracket end is reached
+    by bisection.
     """
     lo, hi = max(-t0, -halfwidth), halfwidth
     s = 0.0
-    F, d1, d2 = _fidelity_derivatives(sd.eigenvalues, products, t0)
-    best_F, best_s = F, s
+    F, d1, d2, f = _fidelity_at(sd.eigenvalues, products, t0)
+    best = float(t0), F, f
     while True:
         # the Newton step, or an infinite step uphill where Fbar is not concave
         step = -d1 / d2 if d2 < 0.0 else math.copysign(math.inf, d1)
@@ -167,10 +165,10 @@ def _refine(sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float)
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
         if not t0 + lo < t0 + s < t0 + hi:
             break
-        F, d1, d2 = _fidelity_derivatives(sd.eigenvalues, products, t0 + s)
-        if F > best_F:
-            best_F, best_s = F, s
-    return float(t0 + best_s)
+        F, d1, d2, f = _fidelity_at(sd.eigenvalues, products, t0 + s)
+        if F > best[1]:
+            best = float(t0 + s), F, f
+    return best
 
 
 def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
@@ -179,9 +177,8 @@ def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
     return float((target_phase + 2.0 * np.pi * k) / omega)
 
 
-def _rabi_window(N: int, sd: SpectralData) -> tuple[float, float, float, float]:
+def _rabi_window(N: int, freqs: RabiFrequencies) -> tuple[float, float, float]:
     """Two fast periods either side of the analytic candidate."""
-    freqs = rabi_frequencies(sd.eigenvalues[edge_modes(N)])
     w0p, w0m, w1m = freqs.omega0_plus, freqs.omega0_minus, freqs.omega1_minus
     if w1m <= 0:
         raise ArithmeticError("degenerate quadruplet: slow envelope frequency is zero")
@@ -203,21 +200,18 @@ def _rabi_window(N: int, sd: SpectralData) -> tuple[float, float, float, float]:
         cand = _nearest_branch(w0m, 0.0, t2)
 
     span = 2.0 * (2.0 * np.pi / w0m)
-    return max(0.0, cand - span), cand + span, np.pi / (20.0 * w0m), cand
+    return max(0.0, cand - span), cand + span, cand
 
 
-def _quasi_rabi_window(N: int, sd: SpectralData) -> tuple[float, float, float, None]:
-    """From 0 to the longest slow period, with no analytic candidate."""
-    eps6 = sd.eigenvalues[edge_modes(N)]
-    w14p = (eps6[0] + eps6[3]) / 2.0
-    w25p = (eps6[1] + eps6[4]) / 2.0
+def _quasi_rabi_window(levels: np.ndarray) -> tuple[float, float, None]:
+    """From 0 to the longest slow period of the six levels, with no candidate."""
+    w14p = (levels[0] + levels[3]) / 2.0
+    w25p = (levels[1] + levels[4]) / 2.0
     beat = abs(w14p - w25p)
     periods = [2.0 * np.pi / abs(w) for w in (w14p, beat) if abs(w) > 1e-12]
     if not periods:
         raise ArithmeticError("all slow frequencies vanished; cannot bound the search")
-    # outer four of the six levels, not the quadruplet: see find_transfer_time
-    w0m = rabi_frequencies(eps6[[0, 1, 4, 5]]).omega0_minus
-    return 0.0, float(max(periods)), np.pi / (20.0 * w0m), None
+    return 0.0, float(max(periods)), None
 
 
 def find_transfer_time(
@@ -225,7 +219,7 @@ def find_transfer_time(
 ) -> TransferTimeResult:
     """Locate the optimal readout time t* and the fidelity there.
 
-    The regime sets the window (lo, hi, step) and its analytic candidate:
+    The regime sets the window (lo, hi) and its analytic candidate:
     two fast periods either side of the time where the fast and slow
     factors of the four-state amplitude align (Rabi), or 0 to the longest
     slow period with the scan's best point as candidate (quasi-Rabi).  The
@@ -245,26 +239,31 @@ def find_transfer_time(
     transfer-time row: it unpacks as (t*, Fbar(t*)), adds F_approx and t1
     and records the candidate and the scan's work.
 
-    In the quasi-Rabi regime omega0- is taken from the outer four of the
-    six edge_modes levels (the lowest two and the highest two; the highest
-    is the extended state at +2), not from the quadruplet of
-    localized_indices; a step from the quadruplet moves t* on most
-    quasi-Rabi chains.
+    In both regimes omega0- is taken from the outer four of the edge_modes
+    levels, the lowest two and the highest two.  For a Rabi chain they are
+    the quadruplet.  For a quasi-Rabi chain the highest is the extended
+    state at +2, not a level of the quadruplet of localized_indices; a step
+    from the quadruplet moves t* on most quasi-Rabi chains.
     """
     if sd is None:
         sd = diagonalize(build_single_particle(spec))
     regime = classify_chain(spec.N)
-    window = _quasi_rabi_window if regime == "quasi-rabi" else _rabi_window
-    lo, hi, step, cand = window(spec.N, sd)
+    levels = sd.eigenvalues[edge_modes(spec.N)]
+    freqs = rabi_frequencies(levels[[0, 1, -2, -1]])
+    if regime == "quasi-rabi":
+        lo, hi, cand = _quasi_rabi_window(levels)
+    else:
+        lo, hi, cand = _rabi_window(spec.N, freqs)
+    # after the window, which rejects a degenerate quadruplet: omega0- is 0
+    # too at h = 1e200
+    step = np.pi / (20.0 * freqs.omega0_minus)
     products = edge_products(spec, sd)
     t_best, F_best, work = _scan(sd, products, lo, hi, step)
-    t_star = _refine(sd, products, t_best, step)
+    t_star, F, (f11, f12, f21, _) = _refine(sd, products, t_best, step)
     if cand is None:
         cand, F_cand = t_best, F_best
     else:
         F_cand = _fidelity_at(sd.eigenvalues, products, cand)[0]
-    F, (f11, f12, f21, _) = _fidelity_at(sd.eigenvalues, products, t_star)
-    has_t1 = regime == "rabi" and spec.h > 0
     return TransferTimeResult(
         N=spec.N,
         h=spec.h,
@@ -272,7 +271,7 @@ def find_transfer_time(
         t_star=t_star,
         fidelity=F,
         F_approx=average_fidelity_approx(f11, f12, f21),
-        t1_estimate=transfer_time_estimate(spec.N, spec.h) if has_t1 else _NAN,
+        t1_estimate=transfer_time_estimate(spec.N, spec.h) if regime == "rabi" else _NAN,
         search_window=(float(lo), float(hi)),
         candidate=float(cand),
         candidate_fidelity=F_cand,

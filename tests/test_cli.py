@@ -358,6 +358,48 @@ class TestOutputs:
         assert abs(float(row["t_star"]) - est) < 0.02 * est
         assert float(row["F_exact"]) >= 0.98
 
+    @pytest.mark.parametrize(
+        "argv, t1",
+        [
+            # the closed form (pi/2)(h^2 - h) is negative at odd N with
+            # N mod 3 = 1 and h < 1, and h^2 underflows at h = 1e-300
+            (["transfer-time", "--N", "7", "--h", "0.5"], "nan"),
+            (["transfer-time", "--N", "31", "--h", "0.9"], "nan"),
+            (["scan", "--N", "30", "--axis", "h", "--values", "1e-300"], "nan"),
+            (["transfer-time", "--N", "30", "--h", "60"], format(np.pi / 2 * 3600.0, ".12g")),
+        ],
+        ids=["N7-h0.5", "N31-h0.9", "scan-h1e-300", "N30-h60"],
+    )
+    def test_t1_estimate_only_where_a_positive_time(self, argv, t1, outdir):
+        assert run(argv) == 0
+        _, header, (row,) = read_csv(outdir / f"{argv[0].replace('-', '_')}.csv")
+        assert dict(zip(header, row))["t1_estimate"] == t1
+
+    @pytest.mark.parametrize("N, h, t1", [(7, 0.5, None), (30, 60.0, np.pi / 2 * 3600.0)])
+    def test_perturb_t1_closed_form_only_where_a_positive_time(self, N, h, t1, outdir):
+        assert run(["perturb", "--N", str(N), "--h", str(h)]) == 0
+        diag = strict_json(outdir / "perturb.csv.manifest.json")["diagnostics"]
+        assert diag["t1_closed_form"] == t1
+
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["fidelity", "--N", "37", "--h", "3", "--t-star", "--mc-samples", "200",
+              "--seed", "1"], {}),
+            (["amplitudes", "--N", "10", "--h", "3", "--t", "2"], {}),
+            (["amplitudes", "--N", "10", "--h", "3"], {"t0": 0.0, "t1": 10.0, "steps": 101}),
+            (["fidelity", "--N", "10", "--h", "3", "--t1", "4", "--steps", "3"],
+             {"t0": 0.0, "t1": 4.0, "steps": 3}),
+        ],
+        ids=["fidelity-t-star", "amplitudes-t", "amplitudes-grid", "fidelity-grid"],
+    )
+    def test_manifest_records_only_the_time_options_used(self, argv, grid, outdir):
+        # a run at one time records no grid; a grid run records it, defaults
+        # included
+        assert run(argv) == 0
+        options = strict_json(outdir / f"{argv[0]}.csv.manifest.json")["options"]
+        assert {k: options[k] for k in ("t0", "t1", "steps") if k in options} == grid
+
     def test_scan_rows(self, outdir):
         assert run([
             "scan", "--N", "10", "--axis", "h", "--values", "8,10,12",

@@ -174,7 +174,7 @@ class TestFidelityGrid:
         spec = ChainSpec(N=N, h=100.0)
         sd = diagonalize(build_single_particle(spec))
         ts = t0 + np.arange(64) * 0.37
-        F, _ = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)
+        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)[0]
         ref = [average_fidelity_exact(spec, t, sd).value for t in ts]
         assert F.shape == (64,)
         np.testing.assert_allclose(F, ref, rtol=0.0, atol=1e-12)
@@ -198,7 +198,7 @@ class TestFidelityGrid:
             assert bound.upper.shape == (n,)
             assert 0 <= bound.modes_kept <= spec.N
             assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
-            F, _ = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * step)
+            F = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * step)[0]
             assert np.all(bound.upper >= F)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -208,7 +208,7 @@ class TestFidelityGrid:
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
-        F, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, products, t0)
+        F, _, _, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, products, t0)
         assert isinstance(F, float)
         bd = average_fidelity_exact(spec, t0, sd)
         assert abs(F - bd.value) <= 1e-12
@@ -217,10 +217,10 @@ class TestFidelityGrid:
         # an array of times gives the scalar call's values, a row of
         # amplitudes per time
         ts = t0 + np.linspace(-3.0, 3.0, 7)
-        Fs, fs = _fidelity_at(sd.eigenvalues, products, ts)
+        Fs, _, _, fs = _fidelity_at(sd.eigenvalues, products, ts)
         assert Fs.shape == (7,) and fs.shape == (7, 4)
         for t, Ft, ft in zip(ts, Fs, fs):
-            F1, f1 = _fidelity_at(sd.eigenvalues, products, float(t))
+            F1, _, _, f1 = _fidelity_at(sd.eigenvalues, products, float(t))
             assert isinstance(F1, float)
             assert abs(Ft - F1) <= 1e-15
             np.testing.assert_allclose(ft, f1, rtol=0.0, atol=1e-15)

@@ -1,0 +1,37 @@
+"""The benchmark's use of xxchain, checked in a second.
+
+perfbench/ runs its workloads against the sources in src/, and its own tests
+take half a minute.  These catch a rename in src/ that would break it: every
+name perfbench imports from xxchain resolves, and one t* sweep op passes the
+benchmark's check against references.json.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_xxchain_imports_resolve():
+    # each `from xxchain... import ...` statement, run as written
+    statements = [
+        (path, node)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "xxchain"
+    ]
+    assert statements
+    for path, node in statements:
+        exec(compile(ast.Module([node], type_ignores=[]), str(path), "exec"), {})
+
+
+def test_sweep_op_passes_the_benchmark_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    refs = json.loads((PERFBENCH / "references.json").read_text())
+    ref = next(r for r in refs["rabi_sweep"] if (r["N"], r["h"]) == (30, 40.0))
+    result = workloads.sweep_op(30, 40.0, tracing.NoTrace())
+    assert workloads.check_search(result, ref) is None

@@ -111,6 +111,10 @@ class TestTransferTimeEstimate:
         assert transfer_time_estimate(33, h) == pytest.approx(base + np.pi / 2 * h)
         assert transfer_time_estimate(34, h) == pytest.approx(base)
 
+    @pytest.mark.parametrize("N, h", [(7, 0.5), (31, 0.9), (30, 1e-300), (30, 0.0)])
+    def test_nan_unless_a_positive_time(self, N, h):
+        assert np.isnan(transfer_time_estimate(N, h))
+
     def test_beat_regime_rejected(self):
         with pytest.raises(ValueError):
             transfer_time_estimate(29, 10.0)

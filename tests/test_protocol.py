@@ -9,7 +9,6 @@ from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _SCREEN_POINTS,
     _fidelity_at,
-    _fidelity_derivatives,
     average_fidelity_approx,
     edge_products,
 )
@@ -193,7 +192,7 @@ class TestPrunedScan:
         for n in self.SIZES:
             t_best, F_best, work = _scan(sd, products, t0, t0 + (n - 1.5) * step, step)
             assert work["grid_points"] == n
-            F, _ = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * spacing)
+            F = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * spacing)[0]
             j = int(np.argmax(F))
             assert t_best == t0 + j * spacing
             assert abs(F_best - F[j]) <= 1e-14
@@ -236,7 +235,7 @@ class TestRefine:
         # that hill-climbing from t0 reaches; returns that peak's time
         sd = diagonalize(build_single_particle(spec))
         lo, hi = max(0.0, t0 - halfwidth), t0 + halfwidth
-        t = _refine(sd, edge_products(spec, sd), t0, halfwidth)
+        t = _refine(sd, edge_products(spec, sd), t0, halfwidth)[0]
         t_peak, F_peak = hill_climb_peak(spec, t0, lo, hi)
         assert lo <= t <= hi
         assert reference_fbar(spec)(np.array([t]))[0] >= F_peak - 1e-12
@@ -248,7 +247,7 @@ class TestRefine:
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         ts = t0 + np.arange(200) * self.STEP
-        F, _ = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)
+        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)[0]
         return spec, t0 + int(pick(F)) * self.STEP
 
     @pytest.mark.parametrize("seed", range(20))
@@ -260,12 +259,16 @@ class TestRefine:
         eps, products = sd.eigenvalues, edge_products(spec, sd)
         w = float(np.max(np.abs(eps)))
         d = 1e-3 / w
-        for t in t0 + np.linspace(-1.0, 1.0, 7):
-            F, d1, d2 = _fidelity_derivatives(eps, products, t)
+        ts = t0 + np.linspace(-1.0, 1.0, 7)
+        rows = np.column_stack(_fidelity_at(eps, products, ts)[:3])
+        for t, row in zip(ts, rows):
+            # the array call's row is the scalar call's value and derivatives
+            F, d1, d2, _ = _fidelity_at(eps, products, t)
+            np.testing.assert_allclose(row, (F, d1, d2), rtol=0.0, atol=1e-15)
             lo, hi = (_fidelity_at(eps, products, t + u)[0] for u in (-d, d))
-            assert abs(F - _fidelity_at(eps, products, t)[0]) <= 1e-15
-            assert abs((hi - lo) / (2.0 * d) - d1) <= 1e-6 * w
-            assert abs((hi - 2.0 * F + lo) / d**2 - d2) <= 1e-6 * w**2
+            for F, d1, d2 in ((F, d1, d2), row):
+                assert abs((hi - lo) / (2.0 * d) - d1) <= 1e-6 * w
+                assert abs((hi - 2.0 * F + lo) / d**2 - d2) <= 1e-6 * w**2
 
     @pytest.mark.parametrize("pick", [np.argmax, np.argmin], ids=["best", "worst"])
     @pytest.mark.parametrize("seed", range(20))
