@@ -179,7 +179,7 @@ def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t):
     p].  With the coherent amplitude c = (1 + f11)(1 + f22) - f12 f21,
     summed in fidelity_from_edge_amplitudes' order, Fbar = (4 + |c|^2)/20,
     Fbar' = Re(conj(c) c')/10 and Fbar'' = (|c'|^2 + Re(conj(c) c''))/10.
-    At N = 30 one time takes about 26 us on one thread of a 2-core x86 VM.
+    At N = 30 one time takes 21-35 us on one thread of a 2-core x86 VM.
     Returns (Fbar, Fbar', Fbar'', f), the first three floats for a scalar
     t; f holds the amplitudes (f11, f12, f21, f22), a row of four per time.
     """
