@@ -31,6 +31,7 @@ from .amplitudes import channel_occupation, propagator, propagator_rows
 from .chain import ChainSpec, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
+    _evaluator_weights,
     _fidelity_at,
     average_fidelity_approx,
     average_fidelity_exact,
@@ -377,14 +378,14 @@ def _cmd_fidelity(args, spec):
     else:
         ts = _time_grid(args)
     # F_approx reads the spec's receiver order, whatever --receiver-order
-    products = edge_products(spec, sd)
+    weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
     columns = ["t", "F_exact", "F_approx", "F_mc_mean", "F_mc_stderr", "F_min"]
     rows = []
     certified = []
     for t in ts:
         t = float(t)
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        f11, f12, f21, _ = _fidelity_at(sd.eigenvalues, products, t)[3]
+        f11, f12, f21, _ = _fidelity_at(sd.eigenvalues, weights, t)[3]
         fa = average_fidelity_approx(f11, f12, f21)
         mc_mean = mc_err = fmin = float("nan")
         if args.mc_samples:
@@ -422,7 +423,7 @@ def _cmd_perturb(_args, spec):
         raise CliError("degenerate quadruplet: slow envelope frequency is zero")
     try:
         ps = perturbative_energies(spec.N, spec.h)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc))
     pert = sorted(ps.lambdas.values())
     columns = ["k", "eps_exact", "lambda_perturbative", "rel_error"]

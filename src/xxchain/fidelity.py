@@ -170,23 +170,32 @@ def fidelity_from_edge_amplitudes(f11: complex, f22: complex, g: complex) -> flo
     return (4.0 + abs(1.0 + f11 + f22 + g) ** 2) / 20.0
 
 
-def _fidelity_at(eigenvalues: np.ndarray, products: np.ndarray, t):
+def _evaluator_weights(eigenvalues: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """N x 12 weights [p, -i eps p, -eps^2 p] of _fidelity_at, from edge_products.
+
+    Column i of the first four is the edge product p_i, so the amplitude f_i
+    and its first two time derivatives are the phases exp(-i eps t) times
+    columns i, 4 + i and 8 + i.  A t* search builds them once and passes
+    them to every _fidelity_at call.
+    """
+    e = eigenvalues[:, None]
+    return np.hstack([products, -1j * e * products, -(e * e) * products])
+
+
+def _fidelity_at(eigenvalues: np.ndarray, weights: np.ndarray, t):
     """Exact average fidelity and its first two time derivatives at t or an array of times.
 
-    products comes from edge_products.  The edge amplitudes f = sum_k
+    weights comes from _evaluator_weights.  The edge amplitudes f = sum_k
     exp(-i eps_k t) p_k are finite trigonometric sums, so f' and f'' come
     from the same phases: one product exp(-i eps t) @ [p, -i eps p, -eps^2
     p].  With the coherent amplitude c = (1 + f11)(1 + f22) - f12 f21,
     summed in fidelity_from_edge_amplitudes' order, Fbar = (4 + |c|^2)/20,
     Fbar' = Re(conj(c) c')/10 and Fbar'' = (|c'|^2 + Re(conj(c) c''))/10.
-    At N = 30 one time takes 21-35 us on one thread of a 2-core x86 VM.
+    At N = 30-40 one time takes 20-23 us on one thread of a 2-core x86 VM.
     Returns (Fbar, Fbar', Fbar'', f), the first three floats for a scalar
     t; f holds the amplitudes (f11, f12, f21, f22), a row of four per time.
     """
-    e = eigenvalues[:, None]
-    x = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ np.hstack(
-        [products, -1j * e * products, -(e * e) * products]
-    )
+    x = np.exp(-1j * np.multiply.outer(t, eigenvalues)) @ weights
     # the amplitudes, then their first and their second derivatives
     f11, f12, f21, f22, a11, a12, a21, a22, b11, b12, b21, b22 = x.T
     c = 1.0 + f11 + f22 + (f11 * f22 - f12 * f21)
@@ -222,11 +231,11 @@ def edge_products(spec: ChainSpec, sd: SpectralData) -> np.ndarray:
 _TRUNCATION_WEIGHT = 1e-3
 # Screen layout: phase-table rows, and grid points per chunk of blocks.  Over
 # the 25 QUASI_MENU windows (2.0M points, 6 modes) on one core of a 2-core
-# x86 VM the screen took 56-70 ms (median of 3) with 8192- or 16384-point
-# chunks at 128-1024 rows, 60-80 ms with 4096- or 32768-point chunks and
-# 71-87 ms with 2048-point chunks; the spread between runs is about 10%.
+# x86 VM the single-precision screen took 34-42 ms (median of 5) with 16384-
+# or 32768-point chunks at 128-1024 rows, 36-42 ms with 8192-point chunks
+# and 40-46 ms with 4096-point chunks; the spread between runs is about 15%.
 _SCREEN_ROWS = 256
-_SCREEN_POINTS = 8192
+_SCREEN_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -236,12 +245,14 @@ class _FidelityBound:
     upper[j] >= _fidelity_at(t0 + j step) at every grid point j of
     _fidelity_bound.  modes_kept counts the modes the screen evaluates;
     truncation_bound is D >= |c - c~|, the most the left-out modes can move
-    c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.
+    c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.  rounding_slack
+    is sigma, which covers rounding in the screen and in _fidelity_at.
     """
 
     upper: np.ndarray
     modes_kept: int
     truncation_bound: float
+    rounding_slack: float
 
 
 def _fidelity_bound(
@@ -257,7 +268,8 @@ def _fidelity_bound(
     + d11 d22 + W12 d21 + W21 d12 + d12 d21, so Fbar <= (4 + (|c~| + D +
     sigma)^2) / 20, where sigma covers rounding (see below).  The screen
     costs about 4 (K + 1) complex multiply-adds per point for K kept modes,
-    on a phase table of _SCREEN_ROWS rows re-phased per block.
+    in single precision, on a phase table of _SCREEN_ROWS rows re-phased
+    per block; every phase argument is formed in double precision.
     """
     if n < 1:
         raise ValueError(f"need at least one grid point, got n = {n}")
@@ -266,25 +278,42 @@ def _fidelity_bound(
     order = np.argsort(weight, kind="stable")
     q = int(np.searchsorted(np.cumsum(weight[order]), _TRUNCATION_WEIGHT, side="right"))
     kept = order[q:]
+    K = len(kept)
     d11, d12, d21, d22 = a[order[:q]].sum(axis=0).tolist()
     W11, W12, W21, W22 = a[kept].sum(axis=0).tolist()
     D = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
-    # Rounding: _fidelity_at and this screen each compute every phase from
-    # an argument within 8 eps |eps_k| T of eps_k t (T = max |t| on the
-    # grid), with exponentials and products within 16 eps, and sum at most
-    # N + 1 terms (the constant 1 counts as a mode of weight 1), so each
-    # amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T + 2 N + 16) + 2 N
-    # + 16) of its true value.  As sum_k |p_ki| <= 1, c moves by at most
-    # twice the sum of those four errors on each side; 64 eps more covers
-    # assembling c and taking its modulus.
+    # Rounding in double precision: _fidelity_at and this screen each
+    # compute every phase from an argument within 8 eps |eps_k| T of eps_k t
+    # (T = max |t| on the grid), with exponentials and products within
+    # 16 eps, and sum at most N + 1 terms (the constant 1 counts as a mode of
+    # weight 1), so each amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T
+    # + 2 N + 16) + 2 N + 16) of its true value.  As sum_k |p_ki| <= 1, c
+    # moves by at most twice the sum of those four errors on each side;
+    # 64 eps more covers assembling c, taking its modulus and forming upper.
     eps = np.finfo(float).eps
     N = len(eigenvalues)
     T = max(abs(t0), abs(t0 + (n - 1) * step))
     per_mode = a.sum(axis=1) @ (8.0 * T * np.abs(eigenvalues) + 2 * N + 16)
     sigma = 4.0 * eps * (per_mode + 4 * (2 * N + 16)) + 64.0 * eps
+    # Rounding in single precision, with r = 2^-24: the screen rounds the
+    # double-precision start * w and table entries z to complex64, each
+    # within r |z|, so each of the K + 1 products in amplitude i moves by
+    # (2r + r^2) |w_ik|.  The complex64 matrix product sums them as two real
+    # dot products of 2K + 2 terms, each within gamma_{2K+2} = (2K + 2) r /
+    # (1 - (2K + 2) r) of the sum of the terms' moduli in any order of
+    # summation, fused multiply-adds included.  So amplitude i moves by at
+    # most (sqrt(2) gamma_{2K+2} (1 + r)^2 + 2r + r^2) S_i <= g S_i, with
+    # g = (3K + 6) r and S_i = sum_k |w_ik| (W_i, plus 1 for the constant in
+    # f11 and f22), which also bounds |f_i|.  Then c~ = uv - xy moves by
+    # (2g + g^2) P, P = S11 S22 + S12 S21; rounding the two complex64
+    # products adds sqrt(2) gamma_2 (1 + g)^2 P, their difference r P and
+    # the float32 modulus 2r P.  In all that is below (6K + 24) r P, which
+    # leaves room for the g^2 terms and for underflow (at most 2^-149 per
+    # operation, while P >= 1).  No term grows with t: every argument that
+    # does is formed in double precision.
+    sigma += (6 * K + 24) * 2.0**-24 * ((W11 + 1.0) * (W22 + 1.0) + W12 * W21)
 
     # one more mode at energy 0 carries the 1 of (1 + f11) and (1 + f22)
-    K = len(kept)
     e = np.append(eigenvalues[kept], 0.0)
     w = np.zeros((4, K + 1))
     w[:, :K] = products[kept].T
@@ -294,22 +323,24 @@ def _fidelity_bound(
     rows = min(n, _SCREEN_ROWS, int(n**0.5) + 1)
     blocks = -(-n // rows)
     per_chunk = max(1, _SCREEN_POINTS // rows)
-    table = np.exp(-1j * np.multiply.outer(e, np.arange(rows) * step))
+    table = np.exp(-1j * np.multiply.outer(e, np.arange(rows) * step)).astype(np.complex64)
     upper = np.empty(blocks * rows)
     for b in range(0, blocks, per_chunk):
         nb = min(per_chunk, blocks - b)
         start = np.exp(-1j * np.multiply.outer(t0 + np.arange(b, b + nb) * rows * step, e))
-        u, x, y, v = ((start * w[:, None, :]).reshape(-1, K + 1) @ table).reshape(4, nb, rows)
+        sw = (start * w[:, None, :]).astype(np.complex64)
+        u, x, y, v = (sw.reshape(-1, K + 1) @ table).reshape(4, nb, rows)
         c = u * v
         x *= y
         c -= x
-        np.abs(c, out=upper[b * rows : (b + nb) * rows].reshape(nb, rows))
+        # |c~| in float32, then + D + sigma in float64
+        seg = upper[b * rows : (b + nb) * rows].reshape(nb, rows)
+        np.add(np.abs(c), D + sigma, out=seg, dtype=float)
     upper = upper[:n]
-    upper += D + sigma
     upper *= upper
     upper += 4.0
     upper /= 20.0
-    return _FidelityBound(upper=upper, modes_kept=K, truncation_bound=D)
+    return _FidelityBound(upper=upper, modes_kept=K, truncation_bound=D, rounding_slack=sigma)
 
 
 def average_fidelity_approx(f11: complex, f1N: complex, f2N1: complex) -> float:

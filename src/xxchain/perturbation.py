@@ -91,7 +91,11 @@ def perturbative_energies(N: int, h: float) -> PerturbativeSpectrum:
                            / (x_i + 2 cos(k pi/(N-5))) ).
 
     Valid in the Rabi regime (N != 3n - 1), where no channel momentum is
-    resonant with the localized levels.
+    resonant with the localized levels.  Raises ArithmeticError where a
+    denominator x_i + 2 cos(k pi/(N-5)) is at roundoff size, within 16 eps
+    (|x_i| + 2) of zero (at h = 0, x_2 = 0 meets k = (N-5)/2), since the
+    sum is then roundoff divided by roundoff.  A finite near-resonance is
+    summed as it is.
     """
     if N < 7:
         raise ValueError(f"N must be >= 7, got {N}")
@@ -105,6 +109,13 @@ def perturbative_energies(N: int, h: float) -> PerturbativeSpectrum:
     lambdas = {}
     betas, alphas, gammas = [], [], []
     for i, x in enumerate((x1, x2), start=1):
+        denom = x + cosk
+        j = int(np.argmin(np.abs(denom)))
+        if abs(denom[j]) <= 16.0 * np.finfo(float).eps * (abs(x) + 2.0):
+            raise ArithmeticError(
+                f"channel momentum k = {j + 1} is resonant with cubic root x{i} = {x:.6g}: "
+                f"x{i} + 2 cos(k pi/{L}) = {denom[j]:.2g} is roundoff"
+            )
         beta = h + x
         alpha = x * x + h * x - 1.0
         gamma2 = 1.0 / (2.0 * (alpha * alpha + beta * beta + 1.0))
@@ -112,7 +123,7 @@ def perturbative_energies(N: int, h: float) -> PerturbativeSpectrum:
         alphas.append(alpha)
         gammas.append(float(np.sqrt(gamma2)))
         for sign, numer in (("plus", num), ("minus", num_minus)):
-            corr = gamma2 / L * np.sum(numer / (x + cosk))
+            corr = gamma2 / L * np.sum(numer / denom)
             lambdas[f"lambda{i}_{sign}"] = float(-2.0 * (x + corr))
 
     eps_q = (

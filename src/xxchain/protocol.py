@@ -21,7 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ChainSpec, build_single_particle
-from .fidelity import _fidelity_at, _fidelity_bound, average_fidelity_approx, edge_products
+from .fidelity import (
+    _evaluator_weights,
+    _fidelity_at,
+    _fidelity_bound,
+    average_fidelity_approx,
+    edge_products,
+)
 from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estimate
 from .spectral import SpectralData, classify_chain, diagonalize, edge_modes
 
@@ -107,7 +113,7 @@ def re_f_truncated(t, spec: ChainSpec, sd: SpectralData | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: float):
+def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: float):
     """Best (time, fidelity) of the exact fidelity on np.arange(lo, hi + step, step).
 
     The grid is not materialized: its times are lo + j * ((lo + step) - lo),
@@ -116,23 +122,24 @@ def _scan(sd: SpectralData, products: np.ndarray, lo: float, hi: float, step: fl
     (_fidelity_bound) reaches L, the exact fidelity at the bound's argmax,
     are evaluated on all modes, by _fidelity_at.  No other point can beat
     L, so the first of their maxima is the first maximum of _fidelity_at
-    over the whole grid.  Returns (time, fidelity, work) with work keyed by
-    _SEARCH_WORK.
+    over the whole grid.  weights comes from fidelity._evaluator_weights;
+    its first four columns are the edge products the screen reads.  Returns
+    (time, fidelity, work) with work keyed by _SEARCH_WORK.
     """
     n = int(np.ceil((hi + step - lo) / step))
     step = (lo + step) - lo
     eps = sd.eigenvalues
-    screen = _fidelity_bound(eps, products, lo, step, n)
-    L = _fidelity_at(eps, products, lo + int(np.argmax(screen.upper)) * step)[0]
+    screen = _fidelity_bound(eps, weights[:, :4].real, lo, step, n)
+    L = _fidelity_at(eps, weights, lo + int(np.argmax(screen.upper)) * step)[0]
     idx = np.flatnonzero(screen.upper >= L)
-    F = _fidelity_at(eps, products, lo + idx * step)[0]
+    F = _fidelity_at(eps, weights, lo + idx * step)[0]
     j = int(np.argmax(F))
     work = dict(zip(_SEARCH_WORK, (screen.modes_kept, screen.truncation_bound, n, len(idx))))
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
 def _refine(
-    sd: SpectralData, products: np.ndarray, t0: float, halfwidth: float
+    sd: SpectralData, weights: np.ndarray, t0: float, halfwidth: float
 ) -> tuple[float, float, np.ndarray]:
     """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
 
@@ -151,7 +158,7 @@ def _refine(
     """
     lo, hi = max(-t0, -halfwidth), halfwidth
     s = 0.0
-    F, d1, d2, f = _fidelity_at(sd.eigenvalues, products, t0)
+    F, d1, d2, f = _fidelity_at(sd.eigenvalues, weights, t0)
     best = float(t0), F, f
     while True:
         # the Newton step, or an infinite step uphill where Fbar is not concave
@@ -165,7 +172,7 @@ def _refine(
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
         if not t0 + lo < t0 + s < t0 + hi:
             break
-        F, d1, d2, f = _fidelity_at(sd.eigenvalues, products, t0 + s)
+        F, d1, d2, f = _fidelity_at(sd.eigenvalues, weights, t0 + s)
         if F > best[1]:
             best = float(t0 + s), F, f
     return best
@@ -230,14 +237,16 @@ def find_transfer_time(
 
     The scan picks the grid point where fidelity._fidelity_at is largest,
     without evaluating every point on all modes: fidelity._fidelity_bound
-    screens every point on the few modes that carry the edge weight, with a
-    certified bound on the rest, and only the points that bound cannot rule
-    out are evaluated on all modes.  On the 25 quasi-Rabi windows of the
-    benchmark menu (2.0M points, 6 modes kept) that costs 27-39 ns per
-    point on one core of a 2-core x86 VM, against about 2.8 us for
-    _fidelity_at at every point.  The result is the chain's whole
-    transfer-time row: it unpacks as (t*, Fbar(t*)), adds F_approx and t1
-    and records the candidate and the scan's work.
+    screens every point in single precision on the few modes that carry the
+    edge weight, with a certified bound on the rest and on its rounding,
+    and only the points that bound cannot rule out are evaluated on all
+    modes.  On the 25 quasi-Rabi windows of the benchmark menu (2.0M
+    points, 6 modes kept) that costs 20-22 ns per point (median of five
+    runs) on one core of a 2-core x86 VM, against about 3 us for
+    _fidelity_at at every point.  The evaluator's weights are built once
+    per search.  The result is the chain's whole transfer-time row: it
+    unpacks as (t*, Fbar(t*)), adds F_approx and t1 and records the
+    candidate and the scan's work.
 
     In both regimes omega0- is taken from the outer four of the edge_modes
     levels, the lowest two and the highest two.  For a Rabi chain they are
@@ -257,13 +266,13 @@ def find_transfer_time(
     # after the window, which rejects a degenerate quadruplet: omega0- is 0
     # too at h = 1e200
     step = np.pi / (20.0 * freqs.omega0_minus)
-    products = edge_products(spec, sd)
-    t_best, F_best, work = _scan(sd, products, lo, hi, step)
-    t_star, F, (f11, f12, f21, _) = _refine(sd, products, t_best, step)
+    weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+    t_best, F_best, work = _scan(sd, weights, lo, hi, step)
+    t_star, F, (f11, f12, f21, _) = _refine(sd, weights, t_best, step)
     if cand is None:
         cand, F_cand = t_best, F_best
     else:
-        F_cand = _fidelity_at(sd.eigenvalues, products, cand)[0]
+        F_cand = _fidelity_at(sd.eigenvalues, weights, cand)[0]
     return TransferTimeResult(
         N=spec.N,
         h=spec.h,

@@ -268,9 +268,13 @@ class TestExitCodes:
              "error: degenerate quadruplet: slow envelope frequency is zero"),
             (["perturb", "--N", "30", "--h", "1e200"],
              "error: degenerate quadruplet: slow envelope frequency is zero"),
+            # a channel denominator of 1.2e-16 wrote lambda = -8.2e15
+            (["perturb", "--N", "7", "--h", "0"],
+             "error: channel momentum k = 1 is resonant with cubic root x2 = 0: "),
         ],
         ids=["h-doubled-overflow", "coupling-doubled-overflow", "transfer-time-degenerate",
-             "fidelity-t-star-degenerate", "perturb-degenerate-1e12", "perturb-degenerate-1e200"],
+             "fidelity-t-star-degenerate", "perturb-degenerate-1e12", "perturb-degenerate-1e200",
+             "perturb-roundoff-resonance"],
     )
     def test_extreme_field_is_an_error_line(self, argv, message, outdir, capsys):
         with warnings.catch_warnings(record=True) as caught:

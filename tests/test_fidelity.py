@@ -12,6 +12,7 @@ from xxchain.fidelity import (
     _SCREEN_POINTS,
     WorstCaseBudgetWarning,
     _channel_data,
+    _evaluator_weights,
     _fidelities_in_blocks,
     _fidelity_at,
     _fidelity_bound,
@@ -174,7 +175,8 @@ class TestFidelityGrid:
         spec = ChainSpec(N=N, h=100.0)
         sd = diagonalize(build_single_particle(spec))
         ts = t0 + np.arange(64) * 0.37
-        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)[0]
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        F = _fidelity_at(sd.eigenvalues, weights, ts)[0]
         ref = [average_fidelity_exact(spec, t, sd).value for t in ts]
         assert F.shape == (64,)
         np.testing.assert_allclose(F, ref, rtol=0.0, atol=1e-12)
@@ -193,12 +195,13 @@ class TestFidelityGrid:
         spec, t0, step = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
+        weights = _evaluator_weights(sd.eigenvalues, products)
         for n in self.SIZES:
             bound = _fidelity_bound(sd.eigenvalues, products, t0, step, n)
             assert bound.upper.shape == (n,)
             assert 0 <= bound.modes_kept <= spec.N
             assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
-            F = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * step)[0]
+            F = _fidelity_at(sd.eigenvalues, weights, t0 + np.arange(n) * step)[0]
             assert np.all(bound.upper >= F)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -207,8 +210,8 @@ class TestFidelityGrid:
         # against the ten-term channel amplitudes
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
-        products = edge_products(spec, sd)
-        F, _, _, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, products, t0)
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        F, _, _, (f11, f12, f21, f22) = _fidelity_at(sd.eigenvalues, weights, t0)
         assert isinstance(F, float)
         bd = average_fidelity_exact(spec, t0, sd)
         assert abs(F - bd.value) <= 1e-12
@@ -217,13 +220,51 @@ class TestFidelityGrid:
         # an array of times gives the scalar call's values, a row of
         # amplitudes per time
         ts = t0 + np.linspace(-3.0, 3.0, 7)
-        Fs, _, _, fs = _fidelity_at(sd.eigenvalues, products, ts)
+        Fs, _, _, fs = _fidelity_at(sd.eigenvalues, weights, ts)
         assert Fs.shape == (7,) and fs.shape == (7, 4)
         for t, Ft, ft in zip(ts, Fs, fs):
-            F1, _, _, f1 = _fidelity_at(sd.eigenvalues, products, float(t))
+            F1, _, _, f1 = _fidelity_at(sd.eigenvalues, weights, float(t))
             assert isinstance(F1, float)
             assert abs(Ft - F1) <= 1e-15
             np.testing.assert_allclose(ft, f1, rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def assert_screen_within_slack(spec, t0, step, n):
+        # the screen's single-precision |c~|, read back from its bound,
+        # lies within sigma of |c~| on the same kept modes (the modes_kept
+        # largest max_i |p_ki|) in double precision at every grid point
+        sd = diagonalize(build_single_particle(spec))
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        bound = _fidelity_bound(eps, products, t0, step, n)
+        weight = np.abs(products).max(axis=1)
+        kept = np.argsort(weight, kind="stable")[spec.N - bound.modes_kept :]
+        ts = t0 + np.arange(n) * step
+        f11, f12, f21, f22 = (np.exp(-1j * np.multiply.outer(ts, eps[kept])) @ products[kept]).T
+        exact = np.abs((1.0 + f11) * (1.0 + f22) - f12 * f21)
+        D, sigma = bound.truncation_bound, bound.rounding_slack
+        screened = np.sqrt(20.0 * bound.upper - 4.0) - D - sigma
+        assert np.max(np.abs(screened - exact)) <= sigma
+        return bound
+
+    @pytest.mark.parametrize("t_shift", [0.0, 1e5], ids=["t0", "t0+1e5"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_single_precision_within_its_slack(self, seed, t_shift):
+        spec, t0, step = random_grid_chain(seed)
+        self.assert_screen_within_slack(spec, t0 + t_shift, step, 2085)
+
+    @pytest.mark.parametrize("N, h", [(29, 4000.0), (50, 200.0), (32, 1000.0)])
+    def test_single_precision_slack_on_quasi_rabi_windows(self, N, h):
+        # at the start and at the end of the t* window, 1.0e5 at (29, 4000);
+        # with 6 modes kept sigma stays below 2e-5, which is far below D
+        # at h = 200 but 30 times D = 6e-7 at h = 4000
+        spec = ChainSpec(N=N, h=h)
+        res = find_transfer_time(spec)
+        lo, hi = res.search_window
+        step = (hi - lo) / res.grid_points
+        for t0 in (lo, hi - 4096 * step):
+            bound = self.assert_screen_within_slack(spec, t0, step, 4097)
+            assert bound.modes_kept == 6
+            assert bound.rounding_slack <= 2e-5
 
     def test_random_grids_cover_full_and_truncated_screens(self):
         # the seeds above include screens that keep every mode (D = 0) and

@@ -73,6 +73,20 @@ class TestPerturbativeEnergies:
         with pytest.raises(ValueError):
             perturbative_energies(6, 10.0)
 
+    @pytest.mark.parametrize("N, h", [(7, 0.0), (9, 0.0), (13, 0.0), (19, 0.0), (12, 1.0),
+                                      (19, 1.0), (33, 1.0), (40, 1.0), (54, 1.0)])
+    def test_roundoff_resonance_rejected(self, N, h):
+        # a denominator x_i + 2 cos(k pi/(N-5)) of 1e-16 gave lambda ~ -8e15
+        with pytest.raises(ArithmeticError, match="is roundoff"):
+            perturbative_energies(N, h)
+
+    def test_rabi_chains_have_no_roundoff_resonance(self):
+        # every denominator stays above 1e-3 here, and the finite
+        # near-resonance of N = 18, 31, 57 at h = 0.5 (1.4e-3) is summed
+        for h in (0.5, 2.0, 50.0, 100.0):
+            for N in (N for N in range(7, 61) if N % 3 != 2):
+                assert np.all(np.isfinite(perturbative_energies(N, h).eps_q))
+
 
 class TestRabiFrequencies:
     @pytest.mark.parametrize("h", [20.0, 60.0, 100.0])

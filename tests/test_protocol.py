@@ -8,6 +8,7 @@ from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _SCREEN_POINTS,
+    _evaluator_weights,
     _fidelity_at,
     average_fidelity_approx,
     edge_products,
@@ -155,7 +156,8 @@ class TestFindTransferTime:
         spec = ChainSpec(N=N, h=h)
         sd = diagonalize(build_single_particle(spec))
         res = find_transfer_time(spec, sd)
-        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.candidate)[0]
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        F = _fidelity_at(sd.eigenvalues, weights, res.candidate)[0]
         assert abs(res.candidate_fidelity - F) <= 1e-14
 
     def test_reading_window_recurrences(self):
@@ -184,19 +186,21 @@ class TestPrunedScan:
     def test_matches_full_grid_argmax(self, seed):
         # the screened scan must pick the very grid point np.argmax picks
         # over its evaluator on every grid time, first of equal maxima
-        # included
-        spec, t0, step = random_grid_chain(seed)
+        # included; the seed's t0 + 2e5 is past the end of the (50, 4000) t*
+        # window
+        spec, t_seed, step = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
-        products = edge_products(spec, sd)
-        spacing = (t0 + step) - t0
-        for n in self.SIZES:
-            t_best, F_best, work = _scan(sd, products, t0, t0 + (n - 1.5) * step, step)
-            assert work["grid_points"] == n
-            F = _fidelity_at(sd.eigenvalues, products, t0 + np.arange(n) * spacing)[0]
-            j = int(np.argmax(F))
-            assert t_best == t0 + j * spacing
-            assert abs(F_best - F[j]) <= 1e-14
-            assert 1 <= work["grid_points_exact"] <= n
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        for t0 in (t_seed, t_seed + 2e5):
+            spacing = (t0 + step) - t0
+            for n in self.SIZES:
+                t_best, F_best, work = _scan(sd, weights, t0, t0 + (n - 1.5) * step, step)
+                assert work["grid_points"] == n
+                F = _fidelity_at(sd.eigenvalues, weights, t0 + np.arange(n) * spacing)[0]
+                j = int(np.argmax(F))
+                assert t_best == t0 + j * spacing
+                assert abs(F_best - F[j]) <= 1e-14
+                assert 1 <= work["grid_points_exact"] <= n
 
     @pytest.mark.parametrize("N, h", [(50, 200.0), (32, 1000.0)])
     def test_few_points_evaluated_on_all_modes(self, N, h):
@@ -235,7 +239,8 @@ class TestRefine:
         # that hill-climbing from t0 reaches; returns that peak's time
         sd = diagonalize(build_single_particle(spec))
         lo, hi = max(0.0, t0 - halfwidth), t0 + halfwidth
-        t = _refine(sd, edge_products(spec, sd), t0, halfwidth)[0]
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        t = _refine(sd, weights, t0, halfwidth)[0]
         t_peak, F_peak = hill_climb_peak(spec, t0, lo, hi)
         assert lo <= t <= hi
         assert reference_fbar(spec)(np.array([t]))[0] >= F_peak - 1e-12
@@ -247,7 +252,8 @@ class TestRefine:
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
         ts = t0 + np.arange(200) * self.STEP
-        F = _fidelity_at(sd.eigenvalues, edge_products(spec, sd), ts)[0]
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        F = _fidelity_at(sd.eigenvalues, weights, ts)[0]
         return spec, t0 + int(pick(F)) * self.STEP
 
     @pytest.mark.parametrize("seed", range(20))
@@ -256,16 +262,17 @@ class TestRefine:
         # its first and second powers
         spec, t0, _ = random_grid_chain(seed)
         sd = diagonalize(build_single_particle(spec))
-        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        eps = sd.eigenvalues
+        weights = _evaluator_weights(eps, edge_products(spec, sd))
         w = float(np.max(np.abs(eps)))
         d = 1e-3 / w
         ts = t0 + np.linspace(-1.0, 1.0, 7)
-        rows = np.column_stack(_fidelity_at(eps, products, ts)[:3])
+        rows = np.column_stack(_fidelity_at(eps, weights, ts)[:3])
         for t, row in zip(ts, rows):
             # the array call's row is the scalar call's value and derivatives
-            F, d1, d2, _ = _fidelity_at(eps, products, t)
+            F, d1, d2, _ = _fidelity_at(eps, weights, t)
             np.testing.assert_allclose(row, (F, d1, d2), rtol=0.0, atol=1e-15)
-            lo, hi = (_fidelity_at(eps, products, t + u)[0] for u in (-d, d))
+            lo, hi = (_fidelity_at(eps, weights, t + u)[0] for u in (-d, d))
             for F, d1, d2 in ((F, d1, d2), row):
                 assert abs((hi - lo) / (2.0 * d) - d1) <= 1e-6 * w
                 assert abs((hi - 2.0 * F + lo) / d**2 - d2) <= 1e-6 * w**2
@@ -335,7 +342,8 @@ class TestTransferRecord:
         sd = diagonalize(build_single_particle(spec))
         res = find_transfer_time(spec, sd)
         assert (res.N, res.h, res.error) == (N, h, "")
-        assert res.fidelity == _fidelity_at(sd.eigenvalues, edge_products(spec, sd), res.t_star)[0]
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        assert res.fidelity == _fidelity_at(sd.eigenvalues, weights, res.t_star)[0]
         # F_approx against the amplitudes of the full propagator
         amp = propagator(sd, res.t_star)
         fa = average_fidelity_approx(amp.entry(1, N - 1), amp.entry(1, N), amp.entry(2, N - 1))
