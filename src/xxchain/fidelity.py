@@ -43,6 +43,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -226,121 +227,208 @@ def edge_products(spec: ChainSpec, sd: SpectralData) -> np.ndarray:
 
 
 # A mode is left out of the t* screen while the sum of max_i |p_ki| over the
-# modes left out stays at or below this; smallest weights go first.  Every
-# QUASI_MENU chain keeps 6 of its N modes.
+# modes left out stays at or below this, smallest weights first, and so is a
+# term of its sum while the sum of |m| over the terms left out does.  Every
+# QUASI_MENU chain keeps 6 of its N modes and 16 of their 22 terms: the six
+# pairs within a level cluster nearly cancel, and their |m| sum to 1.4e-8-
+# 1.6e-6.  Chains at h = 10-20 keep 15-30 modes and a fifth to two fifths
+# of their terms.
 _TRUNCATION_WEIGHT = 1e-3
-# Screen layout: phase-table rows, and grid points per chunk of blocks.  Over
-# the 25 QUASI_MENU windows (2.0M points, 6 modes) on one core of a 2-core
-# x86 VM the single-precision screen took 34-42 ms (median of 5) with 16384-
-# or 32768-point chunks at 128-1024 rows, 36-42 ms with 8192-point chunks
-# and 40-46 ms with 4096-point chunks; the spread between runs is about 15%.
+# At most this many modes are kept, so the screen sums at most 2081 terms.
+# Only chains at small h keep more under _TRUNCATION_WEIGHT: N = 200 at
+# h = 1 keeps 180.
+_SCREEN_MODES = 64
+# Screen layout: phase-table rows, and grid points per product.  Over the 25
+# QUASI_MENU windows (2.0M points, 16 terms) on one core of a 2-core x86 VM
+# the screen took 5.4-5.9 ns per point (median of 9) with 16384-point
+# products at 256 rows, 5.2-5.4 with 512 or 1024 rows and 4.8 with 65536-
+# point products; the spread between runs is about 10%.  16384 keeps the
+# grids that cross a product boundary small enough to check every point.
 _SCREEN_ROWS = 256
 _SCREEN_POINTS = 16384
+
+# The products of the extra mode of _coherent_terms, the antidiagonal of J
+# in m_kl = p_k J p_l^T, and the terms among up to _SCREEN_MODES + 1 modes
+# with the extra mode first: the pairs k < l and the constant at (0, 0)
+_EXTRA_MODE = np.array([[1.0, 0.0, 0.0, 1.0]])
+_ANTIDIAGONAL = np.array([1.0, -1.0, -1.0, 1.0])
+_TERMS = np.triu(np.ones((_SCREEN_MODES + 1, _SCREEN_MODES + 1), dtype=bool), 1)
+_TERMS[0, 0] = True
+
+
+def _coherent_terms(eigenvalues: np.ndarray, products: np.ndarray):
+    """The coherent amplitude of up to _SCREEN_MODES modes as a sum over pair levels.
+
+    Mode 0 is one more mode, of energy 0 and products (1, 0, 0, 1), which
+    carries the 1 of (1 + f11) and (1 + f22); modes 1..K are the given ones.
+    Over these K + 1 modes, with p_k = (p_k11, p_k12, p_k21, p_k22), the
+    coherent amplitude c = (1 + f11)(1 + f22) - f12 f21 of the given modes
+    is a sum over the pair levels (Cauchy-Binet):
+
+        c(t) = 1 + sum_{k < l} m_kl exp(-i (eps_k + eps_l) t),
+        m_kl = p_k11 p_l22 + p_l11 p_k22 - p_k12 p_l21 - p_l12 p_k21,
+
+    since each mode's own term p_k11 p_k22 - p_k12 p_k21 vanishes: p_k is
+    the rank-one product a_k,s a_k,r.  The pairs (0, l) are the single
+    modes, with m = p_l11 + p_l22.  Returns (e, k, l, m): the K + 1
+    energies, and per term its two modes and m, the constant first, as the
+    pair (0, 0) of phase 1.
+    """
+    e = np.concatenate([np.zeros(1), eigenvalues])
+    p = np.concatenate([_EXTRA_MODE, products])
+    k, l = _TERMS[: len(e), : len(e)].nonzero()
+    m = (p @ (p[:, ::-1] * _ANTIDIAGONAL).T)[k, l]
+    m[0] = 1.0
+    return e, k, l, m
 
 
 @dataclass(frozen=True)
 class _FidelityBound:
-    """Certified upper bound on the exact fidelity from its dominant modes.
+    """Certified bound on the exact coherent amplitude from its dominant terms.
 
-    upper[j] >= _fidelity_at(t0 + j step) at every grid point j of
-    _fidelity_bound.  modes_kept counts the modes the screen evaluates;
-    truncation_bound is D >= |c - c~|, the most the left-out modes can move
-    c = 1 + f11 + f22 + g.  D = 0 when every mode is kept.  rounding_slack
-    is sigma, which covers rounding in the screen and in _fidelity_at.
+    modulus[j] is the screen's single-precision |c~| at grid point j of
+    _fidelity_bound.  There |c| as _fidelity_at computes it is at most
+    modulus[j] + truncation_bound + rounding_slack, so Fbar <= (4 +
+    (modulus[j] + D + sigma)^2) / 20.  modes_kept counts the modes the
+    screen keeps and screen_terms the P terms its sum evaluates;
+    truncation_bound is D >= |c - c~|, the most the modes and terms left
+    out can move c = 1 + f11 + f22 + g.  D = 0 when every mode and every
+    term is kept.  rounding_slack is sigma, which covers rounding in the
+    screen, in _fidelity_at and in reaching.
     """
 
-    upper: np.ndarray
+    modulus: np.ndarray
     modes_kept: int
+    screen_terms: int
     truncation_bound: float
     rounding_slack: float
+
+    def reaching(self, F: float) -> np.ndarray:
+        """The grid points whose bound reaches F, which include every point where _fidelity_at >= F.
+
+        _fidelity_at rounds (4 + x^2) / 20 from x = |c|, so where it gives at
+        least F (at most 1.01), x^2 >= 20 F - 4 - 32 eps.  The threshold's
+        square is formed within 32 eps of 20 F - 4 - 64 eps, so the
+        threshold sits below x up to the 64 eps of sigma.  The comparison is
+        made in double precision, so the threshold is not rounded to float32.
+        """
+        x = math.sqrt(max(20.0 * F - 4.0 - 2.0**-46, 0.0))
+        return np.flatnonzero(
+            self.modulus >= np.float64(x - self.truncation_bound - self.rounding_slack)
+        )
 
 
 def _fidelity_bound(
     eigenvalues: np.ndarray, products: np.ndarray, t0: float, step: float, n: int
 ) -> _FidelityBound:
-    """Upper bound on the exact average fidelity on the grid t0 + j step, j < n.
+    """Bound on the exact coherent amplitude on the grid t0 + j step, j < n.
 
     The modes with the largest max_i |p_ki| are kept until the left-out
-    weight is at most _TRUNCATION_WEIGHT.  The screen evaluates c~ = (1 +
-    f11)(1 + f22) - f12 f21, the coherent amplitude c of the kept modes
-    alone.  With d_i the column sums of |p| over the left-out modes and W_i
-    those over the kept ones, |c - c~| <= D = d11 + d22 + W11 d22 + W22 d11
-    + d11 d22 + W12 d21 + W21 d12 + d12 d21, so Fbar <= (4 + (|c~| + D +
-    sigma)^2) / 20, where sigma covers rounding (see below).  The screen
-    costs about 4 (K + 1) complex multiply-adds per point for K kept modes,
-    in single precision, on a phase table of _SCREEN_ROWS rows re-phased
-    per block; every phase argument is formed in double precision.
+    weight is at most _TRUNCATION_WEIGHT, and at most _SCREEN_MODES of them.
+    _coherent_terms writes c~, the coherent amplitude of the K kept modes,
+    as 1 + K (K + 1) / 2 terms; those whose |m| sum to at most
+    _TRUNCATION_WEIGHT are left out, smallest first, and the screen sums the
+    P others.  With d_i the column sums of |p| over the left-out modes and
+    W_i those over the kept ones, |c - c~| <= d11 + d22 + W11 d22 + W22 d11
+    + d11 d22 + W12 d21 + W21 d12 + d12 d21, and D adds the |m| of the terms
+    left out.  The screen costs P complex multiply-adds per point, in single
+    precision: the terms' phases at the block starts times a table of their
+    weighted phases at _SCREEN_ROWS offsets, one product per _SCREEN_POINTS
+    points with a single output.  Every phase argument is formed in double
+    precision, from one exponential per kept mode and time.
     """
     if n < 1:
         raise ValueError(f"need at least one grid point, got n = {n}")
+    # the per-mode maxima and the column sums as vector operations: a
+    # reduction along the rows of four takes 46 us at N = 1000
     a = np.abs(products)
-    weight = a.max(axis=1)
-    order = np.argsort(weight, kind="stable")
-    q = int(np.searchsorted(np.cumsum(weight[order]), _TRUNCATION_WEIGHT, side="right"))
-    kept = order[q:]
+    weight = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+    order = weight.argsort(kind="stable")
+    q = int(weight[order].cumsum().searchsorted(_TRUNCATION_WEIGHT, side="right"))
+    kept = order[max(q, len(order) - _SCREEN_MODES) :]
     K = len(kept)
-    d11, d12, d21, d22 = a[order[:q]].sum(axis=0).tolist()
+    left_out = np.ones(len(order))
+    left_out[kept] = 0.0
+    d11, d12, d21, d22 = (left_out @ a).tolist()
     W11, W12, W21, W22 = a[kept].sum(axis=0).tolist()
     D = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
-    # Rounding in double precision: _fidelity_at and this screen each
-    # compute every phase from an argument within 8 eps |eps_k| T of eps_k t
-    # (T = max |t| on the grid), with exponentials and products within
-    # 16 eps, and sum at most N + 1 terms (the constant 1 counts as a mode of
-    # weight 1), so each amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T
-    # + 2 N + 16) + 2 N + 16) of its true value.  As sum_k |p_ki| <= 1, c
-    # moves by at most twice the sum of those four errors on each side;
-    # 64 eps more covers assembling c, taking its modulus and forming upper.
-    eps = np.finfo(float).eps
+    e, k, l, m = _coherent_terms(eigenvalues[kept], products[kept])
+    size = np.abs(m)
+    order = size.argsort(kind="stable")
+    left = size[order].cumsum()
+    q = int(left.searchsorted(_TRUNCATION_WEIGHT, side="right"))
+    dropped = float(left[q - 1]) if q else 0.0
+    D += dropped
+    terms = order[q:]
+    k, l, m = k[terms], l[terms], m[terms]
+    P = len(m)
+
+    # Rounding in double precision.  _fidelity_at computes every phase from
+    # an argument within 8 eps |eps_k| T of eps_k t (T = max |t| on the
+    # grid), with exponentials and products within 16 eps, and sums at most
+    # N + 1 terms (the constant 1 counts as a mode of weight 1), so each
+    # amplitude sits within eps (sum_k |p_ki| (8 |eps_k| T + 2 N + 16) + 2 N
+    # + 16) of its true value.  As sum_k |p_ki| <= 1, its c moves by at most
+    # twice the sum of those four errors, 2 eps (8 T sum_ki |eps_k| |p_ki| +
+    # 8 (2 N + 16)).  The screen forms the phase of term (k, l) at a grid
+    # point as a block start's times an offset's, each the product of the two
+    # modes' exponentials, from arguments within 8 eps (|eps_k| + |eps_l|) T
+    # of (eps_k + eps_l) t in all, with the exponentials and products within
+    # 16 eps; m_kl sits within 4 eps of the sum A_kl of the moduli of its
+    # four products, which bounds |m_kl|.  So the term moves by
+    # eps A_kl (16 E T + 20), E = max_k |eps_k| over the kept modes, before
+    # it is rounded to single precision.  Over all ordered pairs of the K + 1
+    # modes the A_kl sum to at most Q = (W11 + 1)(W22 + 1) + W12 W21.  64 eps
+    # more covers assembling c, taking its modulus and reaching's threshold.
+    eps = 2.0**-52
     N = len(eigenvalues)
     T = max(abs(t0), abs(t0 + (n - 1) * step))
-    per_mode = a.sum(axis=1) @ (8.0 * T * np.abs(eigenvalues) + 2 * N + 16)
-    sigma = 4.0 * eps * (per_mode + 4 * (2 * N + 16)) + 64.0 * eps
-    # Rounding in single precision, with r = 2^-24: the screen rounds the
-    # double-precision start * w and table entries z to complex64, each
-    # within r |z|, so each of the K + 1 products in amplitude i moves by
-    # (2r + r^2) |w_ik|.  The complex64 matrix product sums them as two real
-    # dot products of 2K + 2 terms, each within gamma_{2K+2} = (2K + 2) r /
-    # (1 - (2K + 2) r) of the sum of the terms' moduli in any order of
-    # summation, fused multiply-adds included.  So amplitude i moves by at
-    # most (sqrt(2) gamma_{2K+2} (1 + r)^2 + 2r + r^2) S_i <= g S_i, with
-    # g = (3K + 6) r and S_i = sum_k |w_ik| (W_i, plus 1 for the constant in
-    # f11 and f22), which also bounds |f_i|.  Then c~ = uv - xy moves by
-    # (2g + g^2) P, P = S11 S22 + S12 S21; rounding the two complex64
-    # products adds sqrt(2) gamma_2 (1 + g)^2 P, their difference r P and
-    # the float32 modulus 2r P.  In all that is below (6K + 24) r P, which
-    # leaves room for the g^2 terms and for underflow (at most 2^-149 per
-    # operation, while P >= 1).  No term grows with t: every argument that
-    # does is formed in double precision.
-    sigma += (6 * K + 24) * 2.0**-24 * ((W11 + 1.0) * (W22 + 1.0) + W12 * W21)
+    at_points = 8.0 * T * float((np.abs(eigenvalues) @ a).sum()) + 8 * (2 * N + 16)
+    Q = (W11 + 1.0) * (W22 + 1.0) + W12 * W21
+    sigma = eps * (2.0 * at_points + (16.0 * T * float(np.abs(e).max()) + 20.0) * Q + 64.0)
+    # Rounding in single precision, with r = 2^-24: the screen rounds each
+    # term's phase w at a block start and its table entry z (m_kl times the
+    # phase at an offset) to complex64, each within r of its modulus, so the
+    # product w z moves by (2r + r^2) |w| |z|.  The complex64 matrix product sums the P products as two real
+    # dot products of 2P terms, each within gamma = 2P r / (1 - 2P r) of the
+    # sum of the terms' moduli in any order of summation, fused
+    # multiply-adds included, and the float32 modulus is within 2r of its
+    # value.  With S = sum |m_kl| over the P terms, which bounds both sum |w|
+    # |z| and the modulus up to 40 eps, |c~| moves by at most (sqrt(2) gamma
+    # (1 + r)^2 + 2r + r^2)(1 + 2r) S + 2r S, below (sqrt(2) gamma + 5r)(1 +
+    # r)^4 S; that leaves room for the 40 eps and for underflow (at most
+    # 2^-149 per operation, while S >= 1).  No term grows with t: every
+    # argument that does is formed in double precision.
+    r = 2.0**-24
+    gamma = 2 * P * r / (1.0 - 2 * P * r)
+    S = float(left[-1]) - dropped
+    sigma += (math.sqrt(2.0) * gamma + 5 * r) * (1.0 + r) ** 4 * S
 
-    # one more mode at energy 0 carries the 1 of (1 + f11) and (1 + f22)
-    e = np.append(eigenvalues[kept], 0.0)
-    w = np.zeros((4, K + 1))
-    w[:, :K] = products[kept].T
-    w[0, K] = w[3, K] = 1.0
     # a table of about sqrt(n) rows needs the fewest exponentials, table and
     # block starts together, below _SCREEN_ROWS^2 points
     rows = min(n, _SCREEN_ROWS, int(n**0.5) + 1)
     blocks = -(-n // rows)
     per_chunk = max(1, _SCREEN_POINTS // rows)
-    table = np.exp(-1j * np.multiply.outer(e, np.arange(rows) * step)).astype(np.complex64)
-    upper = np.empty(blocks * rows)
+    # the phases of every term at the table's offsets, times m, and at the
+    # block starts, from one exponential per mode and time
+    times = np.concatenate([np.arange(rows), np.arange(0, blocks * rows, rows)]) * step
+    times[rows:] += t0
+    phase = np.exp(np.multiply.outer(-1j * e, times))
+    phase = phase[k] * phase[l]
+    phase[:, :rows] *= m[:, None]
+    phase = phase.astype(np.complex64)
+    table, start = phase[:, :rows], phase[:, rows:].T
+    modulus = np.empty(blocks * rows, dtype=np.float32)
     for b in range(0, blocks, per_chunk):
-        nb = min(per_chunk, blocks - b)
-        start = np.exp(-1j * np.multiply.outer(t0 + np.arange(b, b + nb) * rows * step, e))
-        sw = (start * w[:, None, :]).astype(np.complex64)
-        u, x, y, v = (sw.reshape(-1, K + 1) @ table).reshape(4, nb, rows)
-        c = u * v
-        x *= y
-        c -= x
-        # |c~| in float32, then + D + sigma in float64
-        seg = upper[b * rows : (b + nb) * rows].reshape(nb, rows)
-        np.add(np.abs(c), D + sigma, out=seg, dtype=float)
-    upper = upper[:n]
-    upper *= upper
-    upper += 4.0
-    upper /= 20.0
-    return _FidelityBound(upper=upper, modes_kept=K, truncation_bound=D, rounding_slack=sigma)
+        seg = modulus[b * rows : (b + per_chunk) * rows].reshape(-1, rows)
+        np.abs(start[b : b + per_chunk] @ table, out=seg)
+    return _FidelityBound(
+        modulus=modulus[:n],
+        modes_kept=K,
+        screen_terms=P,
+        truncation_bound=D,
+        rounding_slack=sigma,
+    )
 
 
 def average_fidelity_approx(f11: complex, f1N: complex, f2N1: complex) -> float:

@@ -47,7 +47,9 @@ class QuasiRabiCoefficients:
 
 
 # The grid scan's work, as _scan returns it and TransferTimeResult records it
-_SEARCH_WORK = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+_SEARCH_WORK = (
+    "modes_kept", "screen_terms", "truncation_bound", "grid_points", "grid_points_exact"
+)
 
 _NAN = float("nan")
 
@@ -64,9 +66,10 @@ class TransferTimeResult:
     (the scan's best point where it has none) before refinement;
     search_window the time interval actually scanned.
     The grid scan's work: grid_points in the window, modes_kept by its
-    screen (fidelity._fidelity_bound) with the truncation_bound D on the
-    coherent amplitude, and grid_points_exact, the points evaluated on all
-    modes.  A failed scan point keeps the defaults and states its error.
+    screen (fidelity._fidelity_bound) and screen_terms, the terms its sum
+    evaluates, with the truncation_bound D on the coherent amplitude, and
+    grid_points_exact, the points evaluated on all modes.  A failed scan
+    point keeps the defaults and states its error.
     """
 
     N: int
@@ -81,6 +84,7 @@ class TransferTimeResult:
     candidate: float = _NAN
     candidate_fidelity: float = _NAN
     modes_kept: int = 0
+    screen_terms: int = 0
     truncation_bound: float = _NAN
     grid_points: int = 0
     grid_points_exact: int = 0
@@ -130,11 +134,12 @@ def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: flo
     step = (lo + step) - lo
     eps = sd.eigenvalues
     screen = _fidelity_bound(eps, weights[:, :4].real, lo, step, n)
-    L = _fidelity_at(eps, weights, lo + int(np.argmax(screen.upper)) * step)[0]
-    idx = np.flatnonzero(screen.upper >= L)
+    L = _fidelity_at(eps, weights, lo + int(np.argmax(screen.modulus)) * step)[0]
+    idx = screen.reaching(L)
     F = _fidelity_at(eps, weights, lo + idx * step)[0]
     j = int(np.argmax(F))
-    work = dict(zip(_SEARCH_WORK, (screen.modes_kept, screen.truncation_bound, n, len(idx))))
+    work = (screen.modes_kept, screen.screen_terms, screen.truncation_bound, n, len(idx))
+    work = dict(zip(_SEARCH_WORK, work))
     return lo + int(idx[j]) * step, float(F[j]), work
 
 
@@ -238,15 +243,15 @@ def find_transfer_time(
     The scan picks the grid point where fidelity._fidelity_at is largest,
     without evaluating every point on all modes: fidelity._fidelity_bound
     screens every point in single precision on the few modes that carry the
-    edge weight, with a certified bound on the rest and on its rounding,
-    and only the points that bound cannot rule out are evaluated on all
-    modes.  On the 25 quasi-Rabi windows of the benchmark menu (2.0M
-    points, 6 modes kept) that costs 20-22 ns per point (median of five
-    runs) on one core of a 2-core x86 VM, against about 3 us for
-    _fidelity_at at every point.  The evaluator's weights are built once
-    per search.  The result is the chain's whole transfer-time row: it
-    unpacks as (t*, Fbar(t*)), adds F_approx and t1 and records the
-    candidate and the scan's work.
+    edge weight, summed over their single and pair levels, with a certified
+    bound on the rest and on its rounding, and only the points that bound
+    cannot rule out are evaluated on all modes.  On the 25 quasi-Rabi
+    windows of the benchmark menu (2.0M points, 6 modes and 16 terms kept)
+    that costs 5-6 ns per point (median of nine runs) on one core of a
+    2-core x86 VM, against about 3 us for _fidelity_at at every point.  The
+    evaluator's weights are built once per search.  The result is the
+    chain's whole transfer-time row: it unpacks as (t*, Fbar(t*)), adds
+    F_approx and t1 and records the candidate and the scan's work.
 
     In both regimes omega0- is taken from the outer four of the edge_modes
     levels, the lowest two and the highest two.  For a Rabi chain they are

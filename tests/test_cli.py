@@ -414,7 +414,9 @@ class TestOutputs:
         assert t[0] < t[1] < t[2]
 
     def test_search_work_in_manifests(self, outdir):
-        work = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+        work = (
+            "modes_kept", "screen_terms", "truncation_bound", "grid_points", "grid_points_exact"
+        )
         assert run(["transfer-time", "--N", "29", "--h", "100"]) == 0
         diag = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())["diagnostics"]
         res = find_transfer_time(ChainSpec(N=29, h=100.0))
@@ -437,7 +439,8 @@ class TestOutputs:
         manifest = json.loads((outdir / "transfer_time.csv.manifest.json").read_text())
         assert list(manifest["diagnostics"]) == [
             "candidate", "candidate_fidelity",
-            "modes_kept", "truncation_bound", "grid_points", "grid_points_exact",
+            "modes_kept", "screen_terms", "truncation_bound", "grid_points",
+            "grid_points_exact",
         ]
         env = manifest["environment"]
         assert list(env) == [

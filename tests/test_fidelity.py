@@ -9,9 +9,12 @@ from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _MC_BLOCK,
+    _SCREEN_MODES,
     _SCREEN_POINTS,
+    _TRUNCATION_WEIGHT,
     WorstCaseBudgetWarning,
     _channel_data,
+    _coherent_terms,
     _evaluator_weights,
     _fidelities_in_blocks,
     _fidelity_at,
@@ -29,6 +32,13 @@ from xxchain.fidelity import (
 from xxchain.protocol import find_transfer_time
 from xxchain.sector_oracle import TwoQubitState, _receiver_vectors, evolve, state_fidelity
 from xxchain.spectral import diagonalize
+
+
+def upper_fidelity(bound):
+    """The screen's bound on Fbar at each grid point, (4 + (|c~| + D + sigma)^2) / 20."""
+    x = bound.modulus.astype(float) + (bound.truncation_bound + bound.rounding_slack)
+    return (4.0 + x * x) / 20.0
+
 
 # (spec, receiver order): the default geometry, receivers inside the chain
 # with sites beyond both of them, senders between the receivers, and the
@@ -196,13 +206,17 @@ class TestFidelityGrid:
         sd = diagonalize(build_single_particle(spec))
         products = edge_products(spec, sd)
         weights = _evaluator_weights(sd.eigenvalues, products)
+        every_term = 1 + spec.N * (spec.N + 1) // 2
         for n in self.SIZES:
             bound = _fidelity_bound(sd.eigenvalues, products, t0, step, n)
-            assert bound.upper.shape == (n,)
+            assert bound.modulus.shape == (n,)
             assert 0 <= bound.modes_kept <= spec.N
-            assert (bound.truncation_bound == 0.0) == (bound.modes_kept == spec.N)
+            # D = 0 exactly when the screen sums every mode and every term
+            assert (bound.truncation_bound == 0.0) == (
+                bound.modes_kept == spec.N and bound.screen_terms == every_term
+            )
             F = _fidelity_at(sd.eigenvalues, weights, t0 + np.arange(n) * step)[0]
-            assert np.all(bound.upper >= F)
+            assert np.all(upper_fidelity(bound) >= F)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_time_against_grid_and_channel(self, seed):
@@ -229,21 +243,27 @@ class TestFidelityGrid:
             np.testing.assert_allclose(ft, f1, rtol=0.0, atol=1e-15)
 
     @staticmethod
-    def assert_screen_within_slack(spec, t0, step, n):
-        # the screen's single-precision |c~|, read back from its bound,
-        # lies within sigma of |c~| on the same kept modes (the modes_kept
-        # largest max_i |p_ki|) in double precision at every grid point
+    def kept_terms(bound, eps, products):
+        # the terms of the kept modes (the modes_kept largest max_i |p_ki|)
+        # and, in order, the ones the screen leaves out: the smallest |m|
+        weight = np.abs(products).max(axis=1)
+        kept = np.argsort(weight, kind="stable")[len(eps) - bound.modes_kept :]
+        e, k, l, m = _coherent_terms(eps[kept], products[kept])
+        left_out = np.argsort(np.abs(m), kind="stable")[: len(m) - bound.screen_terms]
+        return kept, e[k] + e[l], m, left_out
+
+    @classmethod
+    def assert_screen_within_slack(cls, spec, t0, step, n):
+        # the screen's single-precision |c~| lies within sigma of the sum of
+        # the same terms in double precision at every grid point
         sd = diagonalize(build_single_particle(spec))
         eps, products = sd.eigenvalues, edge_products(spec, sd)
         bound = _fidelity_bound(eps, products, t0, step, n)
-        weight = np.abs(products).max(axis=1)
-        kept = np.argsort(weight, kind="stable")[spec.N - bound.modes_kept :]
+        _, levels, m, left_out = cls.kept_terms(bound, eps, products)
+        m[left_out] = 0.0
         ts = t0 + np.arange(n) * step
-        f11, f12, f21, f22 = (np.exp(-1j * np.multiply.outer(ts, eps[kept])) @ products[kept]).T
-        exact = np.abs((1.0 + f11) * (1.0 + f22) - f12 * f21)
-        D, sigma = bound.truncation_bound, bound.rounding_slack
-        screened = np.sqrt(20.0 * bound.upper - 4.0) - D - sigma
-        assert np.max(np.abs(screened - exact)) <= sigma
+        exact = np.abs(np.exp(-1j * np.multiply.outer(ts, levels)) @ m)
+        assert np.max(np.abs(bound.modulus - exact)) <= bound.rounding_slack
         return bound
 
     @pytest.mark.parametrize("t_shift", [0.0, 1e5], ids=["t0", "t0+1e5"])
@@ -278,6 +298,53 @@ class TestFidelityGrid:
             if bound.modes_kept < spec.N:
                 assert bound.truncation_bound > 0.0
         assert kept_all == {True, False}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_levels_sum_to_the_coherent_amplitude(self, seed):
+        # Cauchy-Binet: over the kept modes, the constant, the single modes
+        # and the pairs k < l at eps_k + eps_l add up to (1 + f11)(1 + f22)
+        # - f12 f21; the phases are the modes' own, as in the screen
+        spec, t0, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        bound = _fidelity_bound(eps, products, t0, step, 10)
+        kept = self.kept_terms(bound, eps, products)[0]
+        e, k, l, m = _coherent_terms(eps[kept], products[kept])
+        K = len(kept)
+        assert len(m) == 1 + K * (K + 1) // 2
+        z = np.exp(-1j * np.multiply.outer(t0 + np.arange(50) * step, e))
+        f11, f12, f21, f22 = (z[:, 1:] @ products[kept]).T
+        direct = (1.0 + f11) * (1.0 + f22) - f12 * f21
+        np.testing.assert_allclose((z[:, k] * z[:, l]) @ m, direct, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("N, h, K", [(29, 100.0, 6), (200, 1.0, _SCREEN_MODES)])
+    def test_terms_left_out_join_the_truncation_bound(self, N, h, K):
+        # (29, 100) leaves out the nearly cancelling pairs of its two level
+        # clusters, and (200, 1) keeps only _SCREEN_MODES of its 180 modes
+        # above the truncation weight: D is the bound on the modes left out
+        # plus the |m| of the terms left out, and the screen's bound holds
+        # at every point of the t* window
+        spec = ChainSpec(N=N, h=h)
+        sd = diagonalize(build_single_particle(spec))
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        res = find_transfer_time(spec, sd)
+        lo, hi = res.search_window
+        n = res.grid_points
+        step = (hi - lo) / n
+        bound = _fidelity_bound(eps, products, lo, step, n)
+        kept, _, m, left_out = self.kept_terms(bound, eps, products)
+        assert bound.modes_kept == K
+        assert 0 < len(left_out) and np.abs(m[left_out]).sum() <= _TRUNCATION_WEIGHT
+        a = np.abs(products)
+        d11, d12, d21, d22 = np.delete(a, kept, axis=0).sum(axis=0)
+        W11, W12, W21, W22 = a[kept].sum(axis=0)
+        modes = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
+        assert bound.truncation_bound == pytest.approx(
+            modes + np.abs(m[left_out]).sum(), rel=1e-12
+        )
+        weights = _evaluator_weights(eps, products)
+        F = _fidelity_at(eps, weights, lo + np.arange(n) * step)[0]
+        assert np.all(upper_fidelity(bound) >= F)
 
     def test_truncation_keeps_the_dominant_modes(self):
         # every quasi-Rabi chain of the benchmark menu keeps 6 modes: the

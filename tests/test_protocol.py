@@ -10,6 +10,7 @@ from xxchain.fidelity import (
     _SCREEN_POINTS,
     _evaluator_weights,
     _fidelity_at,
+    _fidelity_bound,
     average_fidelity_approx,
     edge_products,
 )
@@ -202,6 +203,22 @@ class TestPrunedScan:
                 assert abs(F_best - F[j]) <= 1e-14
                 assert 1 <= work["grid_points_exact"] <= n
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_screen_argmax_is_evaluated(self, seed):
+        # the scan's threshold, compared in double precision, admits the
+        # screen's own argmax, whose exact fidelity set it; at Fbar = 1/5 it
+        # admits every point
+        spec, t_seed, step = random_grid_chain(seed)
+        sd = diagonalize(build_single_particle(spec))
+        weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+        for t0 in (t_seed, t_seed + 2e5):
+            for n in self.SIZES:
+                bound = _fidelity_bound(sd.eigenvalues, weights[:, :4].real, t0, step, n)
+                j = int(np.argmax(bound.modulus))
+                L = _fidelity_at(sd.eigenvalues, weights, t0 + j * step)[0]
+                assert j in bound.reaching(L)
+                assert len(bound.reaching(0.2)) == n
+
     @pytest.mark.parametrize("N, h", [(50, 200.0), (32, 1000.0)])
     def test_few_points_evaluated_on_all_modes(self, N, h):
         # a count, not a timing: the screen leaves at most 5% of the
@@ -315,9 +332,13 @@ class TestScan:
         spec = ChainSpec(N=29, h=100.0)
         res = find_transfer_time(spec)
         good, bad = scan(spec, "N", [29, 3])
-        work = ("modes_kept", "truncation_bound", "grid_points", "grid_points_exact")
+        work = (
+            "modes_kept", "screen_terms", "truncation_bound", "grid_points", "grid_points_exact"
+        )
         assert [getattr(good, k) for k in work] == [getattr(res, k) for k in work]
-        assert (bad.modes_kept, bad.grid_points, bad.grid_points_exact) == (0, 0, 0)
+        assert (bad.modes_kept, bad.screen_terms, bad.grid_points, bad.grid_points_exact) == (
+            0, 0, 0, 0
+        )
         assert np.isnan(bad.truncation_bound)
 
     def test_bad_point_recorded_not_fatal(self):
