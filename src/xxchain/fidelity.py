@@ -304,7 +304,7 @@ class _FidelityBound:
     rounding_slack: float
 
     def reaching(self, F: float) -> np.ndarray:
-        """The grid points whose bound reaches F, which include every point where _fidelity_at >= F.
+        """The grid points whose bound reaches F, a superset of those where _fidelity_at >= F.
 
         _fidelity_at rounds (4 + x^2) / 20 from x = |c|, so where it gives at
         least F (at most 1.01), x^2 >= 20 F - 4 - 32 eps.  The threshold's
@@ -347,17 +347,17 @@ def _fidelity_bound(
     q = int(weight[order].cumsum().searchsorted(_TRUNCATION_WEIGHT, side="right"))
     kept = order[max(q, len(order) - _SCREEN_MODES) :]
     K = len(kept)
-    left_out = np.ones(len(order))
-    left_out[kept] = 0.0
-    d11, d12, d21, d22 = (left_out @ a).tolist()
+    outside = np.ones(len(order))
+    outside[kept] = 0.0
+    d11, d12, d21, d22 = (outside @ a).tolist()
     W11, W12, W21, W22 = a[kept].sum(axis=0).tolist()
     D = d11 + d22 + W11 * d22 + W22 * d11 + d11 * d22 + W12 * d21 + W21 * d12 + d12 * d21
     e, k, l, m = _coherent_terms(eigenvalues[kept], products[kept])
     size = np.abs(m)
     order = size.argsort(kind="stable")
-    left = size[order].cumsum()
-    q = int(left.searchsorted(_TRUNCATION_WEIGHT, side="right"))
-    dropped = float(left[q - 1]) if q else 0.0
+    cumulative = size[order].cumsum()
+    q = int(cumulative.searchsorted(_TRUNCATION_WEIGHT, side="right"))
+    dropped = float(cumulative[q - 1]) if q else 0.0
     D += dropped
     terms = order[q:]
     k, l, m = k[terms], l[terms], m[terms]
@@ -389,19 +389,19 @@ def _fidelity_bound(
     # Rounding in single precision, with r = 2^-24: the screen rounds each
     # term's phase w at a block start and its table entry z (m_kl times the
     # phase at an offset) to complex64, each within r of its modulus, so the
-    # product w z moves by (2r + r^2) |w| |z|.  The complex64 matrix product sums the P products as two real
-    # dot products of 2P terms, each within gamma = 2P r / (1 - 2P r) of the
-    # sum of the terms' moduli in any order of summation, fused
-    # multiply-adds included, and the float32 modulus is within 2r of its
-    # value.  With S = sum |m_kl| over the P terms, which bounds both sum |w|
-    # |z| and the modulus up to 40 eps, |c~| moves by at most (sqrt(2) gamma
-    # (1 + r)^2 + 2r + r^2)(1 + 2r) S + 2r S, below (sqrt(2) gamma + 5r)(1 +
-    # r)^4 S; that leaves room for the 40 eps and for underflow (at most
-    # 2^-149 per operation, while S >= 1).  No term grows with t: every
-    # argument that does is formed in double precision.
+    # product w z moves by (2r + r^2) |w| |z|.  The complex64 matrix product
+    # sums the P products as two real dot products of 2P terms, each within
+    # gamma = 2P r / (1 - 2P r) of the sum of the terms' moduli in any order
+    # of summation, fused multiply-adds included, and the float32 modulus is
+    # within 2r of its value.  With S = sum |m_kl| over the P terms, which
+    # bounds both sum |w| |z| and the modulus up to 40 eps, |c~| moves by at
+    # most (sqrt(2) gamma (1 + r)^2 + 2r + r^2)(1 + 2r) S + 2r S, below
+    # (sqrt(2) gamma + 5r)(1 + r)^4 S; that leaves room for the 40 eps and
+    # for underflow (at most 2^-149 per operation, while S >= 1).  No term
+    # grows with t: every argument that does is formed in double precision.
     r = 2.0**-24
     gamma = 2 * P * r / (1.0 - 2 * P * r)
-    S = float(left[-1]) - dropped
+    S = float(cumulative[-1]) - dropped
     sigma += (math.sqrt(2.0) * gamma + 5 * r) * (1.0 + r) ** 4 * S
 
     # a table of about sqrt(n) rows needs the fewest exponentials, table and
