@@ -22,7 +22,6 @@ from .amplitudes import (
     AmplitudeSet,
     channel_occupation,
     propagator,
-    two_particle,
 )
 from .sector_oracle import (
     EvolvedState,

@@ -165,24 +165,6 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
     return f.reshape(len(ts), len(sites), N)
 
 
-def two_particle(amp: AmplitudeSet, n: int, m: int, r: int, s: int) -> complex:
-    """Two-excitation transfer amplitude g_{nm}^{rs} for ordered pairs.
-
-    Equals the 2x2 determinant f_n^r f_m^s - f_n^s f_m^r of single-particle
-    amplitudes; the dense two-excitation sector evolution is the ground
-    truth this identity is tested against.  Sites are 1-based in [1, N].
-    """
-    if not (n < m and r < s):
-        raise ValueError(
-            f"site pairs must be strictly ordered: got ({n},{m}) -> ({r},{s})"
-        )
-    _check_sites(amp.n, n, m, r, s)
-    f = amp.f
-    return complex(
-        f[n - 1, r - 1] * f[m - 1, s - 1] - f[n - 1, s - 1] * f[m - 1, r - 1]
-    )
-
-
 def channel_occupation(rows: np.ndarray, spec: ChainSpec) -> np.ndarray | float:
     """Total excitation probability on the interior channel sites 3..N-2.
 

@@ -246,6 +246,10 @@ _SCREEN_MODES = 64
 # grids that cross a product boundary small enough to check every point.
 _SCREEN_ROWS = 256
 _SCREEN_POINTS = 16384
+# The most bytes the screen may hold at once.  Its window grows linearly in
+# h on a quasi-Rabi chain: at N = 29 the grid has 3.2e8 points at h = 1e6
+# (1.4 GB held) and 3.2e9 at h = 1e7, which is refused.
+_SCREEN_BYTES = 2 << 30
 
 # The products of the extra mode of _coherent_terms, the antidiagonal of J
 # in m_kl = p_k J p_l^T, and the terms among up to _SCREEN_MODES + 1 modes
@@ -335,7 +339,9 @@ def _fidelity_bound(
     precision: the terms' phases at the block starts times a table of their
     weighted phases at _SCREEN_ROWS offsets, one product per _SCREEN_POINTS
     points with a single output.  Every phase argument is formed in double
-    precision, from one exponential per kept mode and time.
+    precision, from one exponential per kept mode and time.  A screen that
+    would hold more than _SCREEN_BYTES raises ArithmeticError before it
+    allocates its grid arrays.
     """
     if n < 1:
         raise ValueError(f"need at least one grid point, got n = {n}")
@@ -409,6 +415,21 @@ def _fidelity_bound(
     rows = min(n, _SCREEN_ROWS, int(n**0.5) + 1)
     blocks = -(-n // rows)
     per_chunk = max(1, _SCREEN_POINTS // rows)
+    # the most bytes the arrays below hold at once, over the rows + blocks
+    # times: first the modes' complex128 phases and their arguments, or the
+    # modes' phases with the terms' two gathered phases and their product;
+    # then the times, the terms' complex64 table, the float32 modulus and
+    # one chunk's product with its copy of the block starts
+    width = rows + blocks
+    held = max(
+        16 * (2 * (K + 1) + 3 * P) * width,
+        8 * (P + 1) * width + 4 * blocks * rows + 8 * min(per_chunk, blocks) * (rows + P),
+    )
+    if held > _SCREEN_BYTES:
+        raise ArithmeticError(
+            f"the t* screen of {n} grid points would hold {held} bytes, "
+            f"above its limit of {_SCREEN_BYTES}"
+        )
     # the phases of every term at the table's offsets, times m, and at the
     # block starts, from one exponential per mode and time
     times = np.concatenate([np.arange(rows), np.arange(0, blocks * rows, rows)]) * step

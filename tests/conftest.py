@@ -1,6 +1,7 @@
 """Shared test helpers: an independent dense eigensolver oracle, seeded
-random chains for the grid-scan differential tests and a reference Haar-average
-fidelity built without protocol or fidelity."""
+random chains for the grid-scan differential tests, a reference Haar-average
+fidelity built without protocol or fidelity, and the free-fermion pair
+amplitude of a propagator."""
 
 import numpy as np
 
@@ -39,6 +40,15 @@ def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
                 v = v @ rot
     order = np.argsort(np.diag(a))
     return np.diag(a)[order], v[:, order].T
+
+
+def pair_amplitude(f, n, m, r, s):
+    """Two-excitation amplitude g_{nm}^{rs} from the propagator matrix f.
+
+    The 2x2 determinant f_n^r f_m^s - f_n^s f_m^r of single-particle
+    amplitudes, with 1-based sites and f[n-1, m-1] = f_n^m.
+    """
+    return f[n - 1, r - 1] * f[m - 1, s - 1] - f[n - 1, s - 1] * f[m - 1, r - 1]
 
 
 def random_grid_chain(seed):

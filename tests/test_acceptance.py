@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import reference_fbar
-from xxchain.amplitudes import propagator, two_particle
+from conftest import pair_amplitude, reference_fbar
+from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     average_fidelity_approx,
@@ -104,7 +104,7 @@ def test_criterion_2_fast_path_matches_dense_sector_oracle():
         u2 = (v2 * np.exp(-1j * e2 * t)) @ v2.conj().T
         for i, (n, m) in enumerate(basis.pairs):
             for j, (r, s) in enumerate(basis.pairs):
-                g = two_particle(amp, n, m, r, s)
+                g = pair_amplitude(amp.f, n, m, r, s)
                 worst = max(worst, abs(g - u2[j, i]))
     report(2, worst < 1e-10, f"max |fast - dense| = {worst:.2e} (limit 1e-10)")
 

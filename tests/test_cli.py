@@ -11,7 +11,9 @@ import pytest
 import scipy
 
 import xxchain.cli as cli_module
-from xxchain.amplitudes import propagator, two_particle
+import xxchain.fidelity as fidelity_module
+from conftest import pair_amplitude
+from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
 from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact
@@ -286,6 +288,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not list(outdir.iterdir())
 
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    def test_library_error_is_an_error_line(self, error, outdir, capsys, monkeypatch):
+        # run alone turns a library error into exit 1; no subcommand re-wraps it
+        def boom(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli_module, "find_transfer_time", boom)
+        assert run(["transfer-time", "--N", "30", "--h", "60"]) == 1
+        assert capsys.readouterr().err == "error: boom\n"
+        assert not list(outdir.iterdir())
+
+    def test_other_exceptions_propagate(self, outdir, monkeypatch):
+        def boom(*args, **kwargs):
+            raise IndexError("boom")
+
+        monkeypatch.setattr(cli_module, "find_transfer_time", boom)
+        with pytest.raises(IndexError, match="boom"):
+            run(["transfer-time", "--N", "30", "--h", "60"])
+        assert not list(outdir.iterdir())
+
+    def test_screen_over_its_memory_limit(self, outdir, capsys, monkeypatch):
+        # a t* screen the guard refuses is an error line for transfer-time
+        # and an error row for scan
+        monkeypatch.setattr(fidelity_module, "_SCREEN_BYTES", 4096)
+        assert run(["transfer-time", "--N", "29", "--h", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the t* screen of ") and err.count("\n") == 1
+        assert "above its limit of 4096" in err
+        assert not list(outdir.iterdir())
+        assert run(["scan", "--N", "29", "--axis", "h", "--values", "100"]) == 0
+        with open(outdir / "scan.csv", newline="") as fh:
+            header, row = csv.reader(line for line in fh if not line.startswith("#"))
+        assert row[header.index("error")] == err[len("error: "):].rstrip("\n")
+
 
 class TestOutputs:
     def test_spectrum_csv_and_manifest(self, outdir):
@@ -338,8 +374,8 @@ class TestOutputs:
             values = dict(zip(header, map(float, row)))
             amp = propagator(sd, values["t"])
             expect = {"f_3_9": amp.entry(3, 9), "f_10_1": amp.entry(10, 1),
-                      "g_12_910": two_particle(amp, 1, 2, 9, 10),
-                      "g_25_37": two_particle(amp, 2, 5, 3, 7)}
+                      "g_12_910": pair_amplitude(amp.f, 1, 2, 9, 10),
+                      "g_25_37": pair_amplitude(amp.f, 2, 5, 3, 7)}
             for name, z in expect.items():
                 assert abs(complex(values["re_" + name], values["im_" + name]) - z) < 1e-10
             occupation = sum(abs(amp.entry(s, n)) ** 2 for s in (1, 2) for n in cols)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
+import xxchain.fidelity as fidelity_module
 from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
@@ -357,6 +359,63 @@ class TestFidelityGrid:
         assert bound.modes_kept == 6
         assert weight[:-6].sum() <= 1e-3 < weight[:-5].sum()
         assert 0.0 < bound.truncation_bound < 4e-3
+
+
+def screen_count(call):
+    """(grid points, bytes) of the screen's memory guard for call().
+
+    With the limit at zero the guard refuses every screen before it
+    allocates any grid array, and its message names the count.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fidelity_module, "_SCREEN_BYTES", 0)
+        with pytest.raises(ArithmeticError) as info:
+            call()
+    found = re.search(r"of (\d+) grid points would hold (\d+) bytes", str(info.value))
+    return int(found[1]), int(found[2])
+
+
+class TestScreenMemory:
+    @pytest.mark.parametrize("N, h", [(29, 1e3), (29, 1e4), (50, 4000.0)])
+    def test_count_is_the_traced_peak(self, N, h):
+        # on t* windows of 3.2e5-3.2e6 points the grid arrays are the peak:
+        # about 4.6-5.1 bytes per point
+        spec = ChainSpec(N=N, h=h)
+        sd = diagonalize(build_single_particle(spec))
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        res = find_transfer_time(spec, sd)
+        lo, hi = res.search_window
+        n = res.grid_points
+        step = (hi - lo) / n
+        n_counted, held = screen_count(lambda: _fidelity_bound(eps, products, lo, step, n))
+        tracemalloc.start()
+        try:
+            _fidelity_bound(eps, products, lo, step, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_counted == n
+        assert held == pytest.approx(peak, rel=0.02)
+
+    def test_admits_h_1e6_and_refuses_h_1e7(self):
+        # the quasi-Rabi window grows linearly in h: at N = 29 the screen of
+        # h = 1e6 runs in about 1.4 GB, and that of h = 1e7 would take 14 GB
+        limit = fidelity_module._SCREEN_BYTES
+        n, held = screen_count(lambda: find_transfer_time(ChainSpec(N=29, h=1e6)))
+        assert 3e8 < n and held <= limit
+        n, held = screen_count(lambda: find_transfer_time(ChainSpec(N=29, h=1e7)))
+        assert 3e9 < n and held > limit
+
+    def test_refusal_names_points_and_bytes(self, monkeypatch):
+        spec = ChainSpec(N=29, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        eps, products = sd.eigenvalues, edge_products(spec, sd)
+        # 100 points hold about 21 kB and 2000 points about 89 kB
+        monkeypatch.setattr(fidelity_module, "_SCREEN_BYTES", 32768)
+        _fidelity_bound(eps, products, 0.0, 0.1, 100)
+        message = r"^the t\* screen of 2000 grid points would hold \d+ bytes, above its limit of 32768$"
+        with pytest.raises(ArithmeticError, match=message):
+            _fidelity_bound(eps, products, 0.0, 0.1, 2000)
 
 
 class TestApproximateAverage:

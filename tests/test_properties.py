@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxchain.chain import ChainSpec, build_single_particle
-from xxchain.amplitudes import propagator, two_particle
+from xxchain.amplitudes import propagator
 from xxchain.fidelity import average_fidelity_exact
 from xxchain.sector_oracle import (
-    SectorBasis,
     TwoQubitState,
     build_sector_hamiltonians,
     evolve,
@@ -99,18 +98,3 @@ def test_pair_sector_spectrum_is_pairwise_sums(N, h):
     e1 = np.linalg.eigvalsh(h1)
     expected = np.sort([e1[i] + e1[j] for i in range(N) for j in range(i + 1, N)])
     assert np.allclose(np.linalg.eigvalsh(h2), expected, atol=1e-8)
-
-
-@common
-@given(chain_specs, times)
-def test_pair_amplitude_is_minor_of_propagator(spec, t):
-    sd = diagonalize(build_single_particle(spec))
-    amp = propagator(sd, t)
-    basis = SectorBasis(spec.N)
-    s1, s2 = spec.senders
-    for n, m in basis.pairs[: min(12, basis.dim2)]:
-        det = (
-            amp.entry(s1, n) * amp.entry(s2, m)
-            - amp.entry(s1, m) * amp.entry(s2, n)
-        )
-        assert abs(two_particle(amp, s1, s2, n, m) - det) < 1e-10

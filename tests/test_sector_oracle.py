@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xxchain.amplitudes import propagator, two_particle
+from conftest import pair_amplitude
+from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.protocol import find_transfer_time
 from xxchain.sector_oracle import (
@@ -110,7 +111,7 @@ class TestEvolve:
         es = evolve(spec, ket("11"), 5.0)
         amp = propagator(diagonalize(build_single_particle(spec)), 5.0)
         target = SectorBasis(8).pair_index[(7, 8)]
-        assert abs(es.c2[target] - two_particle(amp, 1, 2, 7, 8)) < 1e-10
+        assert abs(es.c2[target] - pair_amplitude(amp.f, 1, 2, 7, 8)) < 1e-10
 
 
 class TestReducedState:
