@@ -31,11 +31,12 @@ that both excitations leak is the Lagrange identity ||u||^2 ||v||^2 -
 The fidelity of one input state is a quartic form in its four amplitudes.
 _state_forms writes it as a sum of squares of 12 real linear forms in the
 32 quadratic monomials of the state's real coordinates, and _quartic, the
-one copy of that expression, evaluates it divided by |z|^4 for a block of
-unnormalized states z.  The Monte-Carlo average, the worst case's
-certification sample and its L-BFGS search with the exact gradient all
-call it; Monte-Carlo reads its Haar states straight from the seeded
-Gaussian draws, without a complex or normalized copy.  Every formula here
+one copy of that expression, evaluates it divided by |z|^4 on the
+monomials of a block of unnormalized states z.  The Monte-Carlo average,
+the worst case's certification sample and its L-BFGS search with the exact
+gradient all call it; Monte-Carlo reads its Haar states straight from the
+seeded Gaussian draws, without a complex or normalized copy, and draws
+them once for all the times it is asked for.  Every formula here
 is cross-validated against brute-force sector evolution, Nielsen's relation
 to the entanglement fidelity and Monte-Carlo Haar sampling in the test
 suite.
@@ -44,6 +45,7 @@ suite.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -538,16 +540,25 @@ def _state_forms(E0: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.hstack([coef.real, coef.imag])
 
 
-def _quartic(W: np.ndarray, U: np.ndarray):
-    """F(z / |z|) of _state_forms for every column u = (Re z, Im z) of U.
+def _monomials(U: np.ndarray) -> np.ndarray:
+    """The 32 monomials of _MONOMIALS for every column u = (Re z, Im z) of U.
 
-    U has shape (8, S).  F(z) = ||W^T m(z)||^2 is homogeneous of degree 4,
-    so F(z) / |z|^4 is the fidelity of the state z / |z|, and no normalized
-    copy of z is formed.  Returns (F, out) with the unnormalized forms
-    out = W^T m(z), of shape (12, S), which the gradient reads.
+    U has shape (8, S); returns shape (32, S), the 8 squares first.
     """
     m = U[_MONOMIALS[0]]
     m *= U[_MONOMIALS[1]]
+    return m
+
+
+def _quartic(W: np.ndarray, m: np.ndarray):
+    """F(z / |z|) of _state_forms for the monomials m = _monomials(U) of every column of U.
+
+    F(z) = ||W^T m(z)||^2 is homogeneous of degree 4, so F(z) / |z|^4 is
+    the fidelity of the state z / |z|, and no normalized copy of z is
+    formed; |z|^2 is the sum of the 8 squares.  Returns (F, out) with the
+    unnormalized forms out = W^T m(z), of shape (12, S), which the gradient
+    reads.
+    """
     out = W.T @ m
     nrm2 = m[:8].sum(axis=0)
     return (out * out).sum(axis=0) / (nrm2 * nrm2), out
@@ -560,41 +571,74 @@ def _quartic(W: np.ndarray, U: np.ndarray):
 # 47 ms with 8192, and haar_average_mc at N = 46 took 34 ms with 1024 or
 # 2048 and 36 ms with 3072, about half of it drawing the normals.
 _MC_BLOCK = 2048
+# Times per pass over a Haar sample.  Their fidelities take 8 bytes per
+# sample each, so those of _MC_TIMES times hold as many bytes as the draws.
+_MC_TIMES = 8
 
 
-def _fidelities_in_blocks(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """F(z / |z|) for the rows z = V[0] + i V[1], in blocks of _MC_BLOCK."""
-    F = np.empty(V.shape[1])
-    for i in range(0, len(F), _MC_BLOCK):
-        block = V[:, i : i + _MC_BLOCK].transpose(0, 2, 1).reshape(8, -1)
-        F[i : i + _MC_BLOCK] = _quartic(W, block)[0]
-    return F
+def _fidelities_in_blocks(forms, V: np.ndarray) -> np.ndarray:
+    """F(z / |z|) under each W of forms for the rows z = V[0] + i V[1], in blocks of _MC_BLOCK.
+
+    Each block's monomials are formed once for all the forms.  Returns
+    shape (len(forms), samples).
+    """
+    out = np.empty((len(forms), V.shape[1]))
+    for i in range(0, V.shape[1], _MC_BLOCK):
+        m = _monomials(V[:, i : i + _MC_BLOCK].transpose(0, 2, 1).reshape(8, -1))
+        for F, W in zip(out, forms):
+            F[i : i + _MC_BLOCK] = _quartic(W, m)[0]
+        # freed before the next block's monomials are formed
+        del m
+    return out
 
 
 def haar_average_mc(
     spec: ChainSpec,
-    t: float,
+    t: float | np.ndarray,
     samples: int,
     seed: int,
     sd: SpectralData | None = None,
     receiver_order: str = "12",
-) -> tuple[float, float]:
-    """Monte-Carlo Haar average of the state fidelity.
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo Haar average of the state fidelity at a time or a 1-D array of times.
 
     Draws Haar-random two-qubit pure states as normalized 4-vectors of
     standard complex Gaussians and averages the transfer fidelity; returns
-    (mean, standard error).  Deterministic for a fixed seed.
+    (mean, standard error), floats for a scalar t and arrays of one entry
+    per time for an array.  Deterministic for a fixed seed.  All times
+    share one sample, the one a call at any single time draws with that
+    seed, so each time's pair is that call's.  The normals are drawn once,
+    after the times and samples are checked, and evaluated for _MC_TIMES
+    times per pass, each block's monomials formed once per pass; memory
+    holds the draws and one pass's fidelities, whatever the number of times.
     """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError(f"need a time or a nonempty 1-D array of times, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times}")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    W = _state_forms(*_channel_data(spec, t, sd, receiver_order))
+    if sd is None:
+        sd = diagonalize(build_single_particle(spec))
+    forms = [_state_forms(*_channel_data(spec, s, sd, receiver_order)) for s in times.ravel()]
     # the real, then the imaginary parts of the Gaussian vectors: the numbers
     # of two (samples, 4) draws in that order; _quartic normalizes
-    F = _fidelities_in_blocks(W, rng.standard_normal((2, samples, 4)))
-    mean = float(F.mean())
-    stderr = float(F.std(ddof=1) / np.sqrt(samples))
-    return mean, stderr
+    V = np.random.default_rng(seed).standard_normal((2, samples, 4))
+    mean, stderr = [], []
+    for j in range(0, len(forms), _MC_TIMES):
+        F = _fidelities_in_blocks(forms[j : j + _MC_TIMES], V)
+        mean += [float(f.mean()) for f in F]
+        stderr += [float(f.std(ddof=1) / np.sqrt(samples)) for f in F]
+        # freed before the next group's fidelities are allocated
+        del F
+    if times.ndim == 0:
+        return mean[0], stderr[0]
+    return np.array(mean), np.array(stderr)
 
 
 def _sphere_objective(x: np.ndarray, forms) -> tuple[float, np.ndarray]:
@@ -610,7 +654,7 @@ def _sphere_objective(x: np.ndarray, forms) -> tuple[float, np.ndarray]:
     nrm2 = float(x @ x)
     if nrm2 < 1e-18:
         return 1.0, np.zeros(8)
-    F, out = _quartic(forms, x[:, None])
+    F, out = _quartic(forms, _monomials(x[:, None]))
     S = np.zeros((8, 8))
     S[_MONOMIALS] = forms @ out[:, 0]
     grad = (2.0 * (S + S.T) @ x / nrm2 - 4.0 * F[0] * x) / nrm2
@@ -653,7 +697,7 @@ def worst_case_fidelity(
 
     # certification sample: the optimum must not sit above the empirical min
     V = rng.standard_normal((2, 10000, 4))
-    Fs = _fidelities_in_blocks(forms, V)
+    Fs = _fidelities_in_blocks([forms], V)[0]
     k = int(np.argmin(Fs))
     z_k = V[0, k] + 1j * V[1, k]
     starts = [V[:, k].ravel() / np.linalg.norm(z_k)]

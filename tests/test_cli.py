@@ -16,7 +16,7 @@ from conftest import pair_amplitude
 from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
-from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact
+from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact, haar_average_mc
 from xxchain.protocol import find_transfer_time
 from xxchain.spectral import diagonalize
 
@@ -675,6 +675,20 @@ class TestConfigAndDeterminism:
         assert run(args + ["-o", str(outdir / "a.csv")]) == 0
         assert run(args + ["-o", str(outdir / "b.csv")]) == 0
         assert (outdir / "a.csv").read_bytes() == (outdir / "b.csv").read_bytes()
+
+    def test_grid_mc_columns_are_each_times_average(self, outdir):
+        # the grid's one Monte-Carlo call gives every row what a call at
+        # that row's time alone gives
+        spec = ChainSpec(N=8, h=4.0)
+        assert run(["fidelity", "--N", "8", "--h", "4", "--t0", "0", "--t1", "3", "--steps", "4",
+                    "--mc-samples", "2000", "--seed", "42", "--receiver-order", "21"]) == 0
+        _, header, rows = read_csv(outdir / "fidelity.csv")
+        assert len(rows) == 4
+        for row in rows:
+            row = dict(zip(header, row))
+            mean, err = haar_average_mc(spec, float(row["t"]), 2000, 42, receiver_order="21")
+            assert (row["F_mc_mean"], row["F_mc_stderr"]) == (format(mean, ".12g"),
+                                                              format(err, ".12g"))
 
     def test_seeded_worst_case_byte_identical(self, outdir):
         args = ["fidelity", "--N", "8", "--h", "4", "--t", "2.0", "--worst-case",

@@ -11,6 +11,7 @@ from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
     _MC_BLOCK,
+    _MC_TIMES,
     _SCREEN_MODES,
     _SCREEN_POINTS,
     _TRUNCATION_WEIGHT,
@@ -21,6 +22,7 @@ from xxchain.fidelity import (
     _fidelities_in_blocks,
     _fidelity_at,
     _fidelity_bound,
+    _monomials,
     _quartic,
     _sphere_objective,
     _state_forms,
@@ -40,6 +42,24 @@ def upper_fidelity(bound):
     """The screen's bound on Fbar at each grid point, (4 + (|c~| + D + sigma)^2) / 20."""
     x = bound.modulus.astype(float) + (bound.truncation_bound + bound.rounding_slack)
     return (4.0 + x * x) / 20.0
+
+
+@pytest.fixture
+def normal_draws(monkeypatch):
+    """The shapes of every standard_normal call of the generators np.random.default_rng makes."""
+    calls = []
+    make = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed=None):
+            self._rng = make(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return calls
 
 
 # (spec, receiver order): the default geometry, receivers inside the chain
@@ -465,7 +485,7 @@ class TestMonteCarlo:
         samples = 2 * _MC_BLOCK + 37
         V = np.random.default_rng(9).standard_normal((2, samples, 4))
         W = _state_forms(*_channel_data(spec, 2.0))
-        F = _quartic(W, V.transpose(0, 2, 1).reshape(8, samples))[0]
+        F = _quartic(W, _monomials(V.transpose(0, 2, 1).reshape(8, samples)))[0]
         mean, err = haar_average_mc(spec, 2.0, samples, seed=9)
         assert mean == pytest.approx(F.mean(), rel=0.0, abs=1e-15)
         assert err == pytest.approx(F.std(ddof=1) / np.sqrt(samples), rel=1e-12)
@@ -486,7 +506,7 @@ class TestMonteCarlo:
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             z /= np.linalg.norm(z)
             Z = np.stack([z, rng.uniform(0.1, 10.0) * z])
-            fast = _fidelities_in_blocks(W, np.stack([Z.real, Z.imag]))
+            fast = _fidelities_in_blocks([W], np.stack([Z.real, Z.imag]))[0]
             slow = state_fidelity(spec, TwoQubitState.from_vector(z), t, order)
             assert np.all(np.abs(fast - slow) < 1e-12)
 
@@ -524,6 +544,65 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 10 * 10**6
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [pytest.param(ChainSpec(N=8, h=4.0), "12", id="N8"),
+         pytest.param(ChainSpec(N=7, h=3.0), "21", id="order21")],
+    )
+    def test_array_of_times_matches_each_time(self, spec, order):
+        # more times than one pass over the sample takes, t = 0 among them,
+        # and a last block shorter than _MC_BLOCK; bit for bit
+        times = np.linspace(0.0, 12.0, 2 * _MC_TIMES + 3)
+        samples = _MC_BLOCK + 37
+        means, errs = haar_average_mc(spec, times, samples, 4, receiver_order=order)
+        assert means.shape == errs.shape == times.shape
+        for t, mean, err in zip(times, means, errs):
+            one = haar_average_mc(spec, float(t), samples, 4, receiver_order=order)
+            assert (float(mean).hex(), float(err).hex()) == (one[0].hex(), one[1].hex())
+        assert isinstance(one[0], float) and isinstance(one[1], float)
+
+    @pytest.mark.parametrize("count", [1, 3, 2 * _MC_TIMES + 1])
+    def test_one_draw_per_call(self, normal_draws, count):
+        haar_average_mc(ChainSpec(N=8, h=4.0), np.linspace(0.0, 5.0, count), 1000, seed=2)
+        assert normal_draws == [((2, 1000, 4),)]
+
+    def test_memory_of_many_times_is_bounded(self):
+        # the draws take 6.4 MB and _MC_TIMES fidelity arrays as much again;
+        # the fidelities of all 16 times would add 12.8 MB to the draws
+        spec = ChainSpec(N=46, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        times = np.linspace(0.0, 1234.5, 16)
+        haar_average_mc(spec, times, 100_000, 1, sd)
+        tracemalloc.start()
+        try:
+            haar_average_mc(spec, times, 100_000, 1, sd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10**6
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            pytest.param(np.array([]), r"nonempty 1-D array of times, got shape \(0,\)",
+                         id="empty"),
+            pytest.param(np.ones((2, 2)), r"1-D array of times, got shape \(2, 2\)", id="2-D"),
+            pytest.param(float("nan"), r"times must be finite, got nan", id="nan"),
+            pytest.param([1.0, np.inf], r"times must be finite, got \[ 1. inf\]", id="inf"),
+        ],
+    )
+    def test_bad_times_rejected_before_the_draw(self, normal_draws, t, message):
+        with pytest.raises(ValueError, match=message):
+            haar_average_mc(ChainSpec(N=8), t, 1000, seed=0)
+        assert normal_draws == []
+
+    def test_non_integer_samples_rejected_before_the_draw(self, normal_draws):
+        with pytest.raises(ValueError, match=r"samples must be an integer, got 100000.0"):
+            haar_average_mc(ChainSpec(N=8), 1.0, 1e5, seed=0)
+        assert normal_draws == []
+        haar_average_mc(ChainSpec(N=8), 1.0, np.int64(200), seed=0)
+        assert normal_draws == [((2, 200, 4),)]
+
     def test_fixed_input_beats_mean_at_zero(self):
         spec = ChainSpec(N=8, h=3.0)
         mean, _ = haar_average_mc(spec, 0.0, 2000, seed=3)
@@ -554,7 +633,7 @@ class TestWorstCase:
         _, fmin = worst_case_fidelity(spec, t, restarts=8, seed=6)
         W = _state_forms(*_channel_data(spec, t))
         V = np.random.default_rng(6).standard_normal((2, 10000, 4))
-        assert fmin <= np.min(_fidelities_in_blocks(W, V)) + 1e-12
+        assert fmin <= np.min(_fidelities_in_blocks([W], V)) + 1e-12
 
     def test_pinned_minimum(self):
         # the value the derivative-free Nelder-Mead search found on the
@@ -581,7 +660,7 @@ class TestWorstCase:
             state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
         W = _state_forms(*_channel_data(spec, t))
         V = np.random.default_rng(6).standard_normal((2, 10000, 4))
-        assert fmin == pytest.approx(np.min(_fidelities_in_blocks(W, V)), abs=1e-15)
+        assert fmin == pytest.approx(np.min(_fidelities_in_blocks([W], V)), abs=1e-15)
         assert abs(state_fidelity(spec, state, t) - fmin) < 1e-10
 
     @pytest.mark.parametrize("spec, order", GEOMETRIES)

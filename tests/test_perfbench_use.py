@@ -1,9 +1,10 @@
 """The benchmark's use of xxchain, checked in a second.
 
 perfbench/ runs its workloads against the sources in src/, and its own tests
-take half a minute.  These catch a rename in src/ that would break it: every
-name perfbench imports from xxchain resolves, and one t* sweep op passes the
-benchmark's check against references.json.
+take half a minute.  These catch a change in src/ that would break it:
+every name perfbench imports from xxchain resolves, and a t* sweep op, a
+Monte-Carlo op of fidelity_eval and a `verify` op of cli_session each pass
+the workload's own run and check.
 """
 
 import ast
@@ -35,3 +36,28 @@ def test_sweep_op_passes_the_benchmark_check(monkeypatch):
     ref = next(r for r in refs["rabi_sweep"] if (r["N"], r["h"]) == (30, 40.0))
     result = workloads.sweep_op(30, 40.0, tracing.NoTrace())
     assert workloads.check_search(result, ref) is None
+
+
+def test_monte_carlo_op_passes_the_benchmark_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    refs = json.loads((PERFBENCH / "references.json").read_text())
+    wl = workloads.FidelityEval(1, refs, "")
+    op = wl._op("mc", 46)
+    result = wl.run(op, tracing.NoTrace())
+    assert isinstance(result["mean"], float) and isinstance(result["stderr"], float)
+    assert wl.check(op, result) is None
+
+
+def test_verify_op_passes_the_benchmark_check(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    wl = workloads.CliSession(1, {}, str(tmp_path))
+    op = wl._op("verify")
+    result = wl.run(op, tracing.NoTrace())
+    assert result["exit_code"] == 0, result["log"]
+    assert wl.check(op, result) is None
