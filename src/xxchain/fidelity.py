@@ -30,13 +30,15 @@ that both excitations leak is the Lagrange identity ||u||^2 ||v||^2 -
 
 The fidelity of one input state is a quartic form in its four amplitudes.
 _state_forms writes it as a sum of squares of 12 real linear forms in the
-32 quadratic monomials of the state's real coordinates, and _quartic, the
-one copy of that expression, evaluates it divided by |z|^4 on the
-monomials of a block of unnormalized states z.  The Monte-Carlo average,
-the worst case's certification sample and its L-BFGS search with the exact
-gradient all call it; Monte-Carlo reads its Haar states straight from the
-seeded Gaussian draws, without a complex or normalized copy, and draws
-them once for all the times it is asked for.  Every formula here
+32 quadratic monomials of the state's real coordinates, and _quartic
+evaluates it divided by |z|^4 on the monomials of a block of unnormalized
+states z.  The Monte-Carlo average and the worst case's certification
+sample call it; Monte-Carlo reads its Haar states straight from the seeded
+Gaussian draws, without a complex or normalized copy, and draws them once
+for all the times it is asked for.  The worst case's search reads the same
+12 forms as quadrics u^T Q_c u of the unit vector u = (Re z, Im z), whose
+exact gradient and Hessian drive a Newton iteration on the sphere, all
+starts in one batch and no optimizer library involved.  Every formula here
 is cross-validated against brute-force sector evolution, Nielsen's relation
 to the entanglement fidelity and Monte-Carlo Haar sampling in the test
 suite.
@@ -641,24 +643,107 @@ def haar_average_mc(
     return np.array(mean), np.array(stderr)
 
 
-def _sphere_objective(x: np.ndarray, forms) -> tuple[float, np.ndarray]:
-    """F(z / |z|) = F(z) / |z|^4 and its gradient in the coordinates x.
+def _state_quadrics(W: np.ndarray) -> np.ndarray:
+    """The 12 forms of _state_forms' W as symmetric 8 x 8 matrices, shape (12, 8, 8).
 
-    x holds u = (Re z, Im z) and forms is W of _state_forms.  F(z) = ||o||^2
-    with o = W^T m(u), so dF/dm = 2 W o, and since d(u_i u_j)/du = u_j e_i
-    + u_i e_j, dF/du = 2 (S + S^T) u for the 8 x 8 matrix S that holds
-    (W o)_k at the index pair (i, j) of monomial k.  The gradient of
-    F(z) / |z|^4 is (dF/du / |z|^2 - 4 F(z / |z|) x) / |z|^2; it is
-    orthogonal to x, since F(z) / |z|^4 does not change along it.
+    Column c of W gives the form o_c = W[:, c] . m(u) = u^T Q_c u: a
+    square's coefficient sits on the diagonal of Q_c, and half of a
+    product's at both of its index pairs.
     """
-    nrm2 = float(x @ x)
-    if nrm2 < 1e-18:
-        return 1.0, np.zeros(8)
-    F, out = _quartic(forms, _monomials(x[:, None]))
-    S = np.zeros((8, 8))
-    S[_MONOMIALS] = forms @ out[:, 0]
-    grad = (2.0 * (S + S.T) @ x / nrm2 - 4.0 * F[0] * x) / nrm2
-    return float(F[0]), grad
+    S = np.zeros((8, 8, W.shape[1]))
+    S[_MONOMIALS] = W
+    return (S + S.transpose(1, 0, 2)).transpose(2, 0, 1) / 2.0
+
+
+def _sphere_objective(U: np.ndarray, Q: np.ndarray):
+    """F(u) = sum_c (u^T Q_c u)^2, its gradient and its Hessian at every row u of U.
+
+    Q is _state_quadrics' stack, so F(u) is the state fidelity of z = u[:4]
+    + i u[4:] for a unit u.  With o_c = u^T Q_c u, grad F = 4 sum_c o_c Q_c
+    u and the Hessian is 8 sum_c (Q_c u)(Q_c u)^T + 4 sum_c o_c Q_c.
+    Returns (F, gradient, Hessian) of shapes (S,), (S, 8) and (S, 8, 8).
+    """
+    Qu = U @ Q
+    o = (Qu * U).sum(axis=2)
+    grad = 4.0 * np.einsum("cs,csi->si", o, Qu)
+    hess = 8.0 * np.einsum("csi,csj->sij", Qu, Qu) + 4.0 * np.tensordot(o.T, Q, 1)
+    return (o * o).sum(axis=0), grad, hess
+
+
+# The Newton search on the sphere floors each |eigenvalue| of the tangent
+# Hessian at this share of the largest, 2^12 times the rounding of eigh, so
+# a zero or rounding-sized eigenvalue (the number-phase direction at a
+# minimum, a flat valley) cannot blow up the step.  Over the 10740 starts of
+# 600 seeded chains (N = 6-39, h < 80, t < 300, 17 starts each) and of the
+# tests' worst cases, floors of 2^-40 and 2^-44 converged on every start;
+# 2^-36 left 1 unconverged, 2^-52 left 3 and 2^-26, stalled in linear
+# convergence, 71.
+_NEWTON_FLOOR = 2.0**-40
+# Newton steps per start before it counts as not converged.  The slowest of
+# those starts took 91, in a shallow valley; those of the benchmark's
+# worst-case input take at most 9.
+_NEWTON_ITERATIONS = 200
+
+
+def _newton_on_sphere(W: np.ndarray, U: np.ndarray):
+    """A local minimum of the state fidelity of _state_forms' W from every unit row of U.
+
+    A Riemannian Newton iteration on the unit sphere of the 8 real
+    coordinates, all starts in one batch, on the exact value, gradient and
+    Hessian of _sphere_objective.  The step solves the tangent Hessian P
+    (H - 4 F I) P, with u^T grad F = 4 F on the sphere, for the projected
+    gradient, each |eigenvalue| floored at _NEWTON_FLOOR times the largest,
+    so a saddle's negative curvature turns into descent.  P projects out u,
+    the sphere's normal, and i z, the global phase, along which F does not
+    change; the other symmetry, the phase exp(i phi n) of the excitation
+    number n (the channel conserves it), leaves a null direction at a
+    minimum, which the floor takes.  The step is cut to length 1 and halved until it lowers F by
+    Armijo's rule along the normalized retraction (u + a step) / |u + a
+    step|, at most 52 times, past which the trial point is u to rounding.
+    A start stops once the predicted decrease -grad . step / 2 is below one
+    ulp of 1: F is a probability computed to absolute precision, and at a
+    minimum near F = 0 an ulp of F is never reached.  Returns (U, F,
+    converged): a start that hit _NEWTON_ITERATIONS, or whose line search
+    found no lower point, has not converged.
+    """
+    Q = _state_quadrics(W)
+    F, grad, hess = _sphere_objective(U, Q)
+    converged = np.zeros(len(U), dtype=bool)
+    # the starts still iterating: neither converged nor stopped by a failed
+    # line search
+    a = np.arange(len(U))
+    eye = np.eye(8)
+    for _ in range(_NEWTON_ITERATIONS):
+        u = U[a]
+        iz = np.concatenate([-u[:, 4:], u[:, :4]], axis=1)
+        P = eye - u[:, :, None] * u[:, None, :] - iz[:, :, None] * iz[:, None, :]
+        g = (P @ grad[a, :, None])[..., 0]
+        lam, V = np.linalg.eigh(P @ (hess[a] - 4.0 * F[a, None, None] * eye) @ P)
+        floor = _NEWTON_FLOOR * np.abs(lam).max(axis=1, keepdims=True)
+        coef = (g[:, None, :] @ V)[:, 0] / np.maximum(np.abs(lam), floor + np.finfo(float).tiny)
+        step = -(P @ (V @ coef[..., None]))[..., 0]
+        slope = (g * step).sum(axis=1)
+        stop = -0.5 * slope < np.spacing(1.0)
+        converged[a[stop]] = True
+        a, step, slope = a[~stop], step[~stop], slope[~stop]
+        if not len(a):
+            break
+        alpha = 1.0 / np.maximum(1.0, np.linalg.norm(step, axis=1))
+        pending = np.ones(len(a), dtype=bool)
+        for _ in range(52):
+            i = pending.nonzero()[0]
+            if not len(i):
+                break
+            trial = U[a[i]] + alpha[i, None] * step[i]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            F_t, grad_t, hess_t = _sphere_objective(trial, Q)
+            ok = F_t < F[a[i]] + 1e-4 * alpha[i] * slope[i]
+            j = a[i[ok]]
+            U[j], F[j], grad[j], hess[j] = trial[ok], F_t[ok], grad_t[ok], hess_t[ok]
+            pending[i[ok]] = False
+            alpha[i[~ok]] *= 0.5
+        a = a[~pending]
+    return U, F, converged
 
 
 class WorstCaseBudgetWarning(RuntimeWarning):
@@ -675,23 +760,26 @@ def worst_case_fidelity(
 ) -> tuple[TwoQubitState, float]:
     """Minimize the state fidelity over all pure two-qubit inputs.
 
-    Quasi-Newton (L-BFGS-B) search over the 8 real state coordinates,
-    driven by the exact value and gradient of the quartic form of
-    _state_forms.  Normalization and global phase drop out of the
-    objective F(z / |z|) = F(z) / |z|^4.  The search runs from the
-    worst of a 10^4-point Haar sample and from `restarts` seeded Gaussian
-    starts, so the result is certified to sit at or below that empirical
-    minimum.  When it does not, or when the search that found the best value
-    stopped without converging above that minimum, a WorstCaseBudgetWarning
-    (a RuntimeWarning) says the search exceeded its budget, and the lower
-    of the two minima is returned with its state.
+    Riemannian Newton search (_newton_on_sphere) over the unit sphere of the
+    8 real state coordinates, driven by the exact value, gradient and
+    Hessian of the quartic form of _state_forms.  The search runs, in one
+    batch, from the worst of a 10^4-point Haar sample and from `restarts`
+    seeded Gaussian starts, so the result is certified to sit at or below
+    that empirical minimum.  When it does not, or when a start that stopped
+    without converging ended within 1e-12 of the best value and that value
+    sits above the sample's minimum, a WorstCaseBudgetWarning (a
+    RuntimeWarning) says the search exceeded its budget, and the lower of
+    the two minima is returned with its state.  restarts must be a
+    non-negative integer; it is checked before anything is drawn.
     Returns (worst state, minimal fidelity); the state's fidelity is the
     returned value.
     """
-    # imported here, not with the module: only this search needs
-    # scipy.optimize, and the README gives its import cost
-    from scipy.optimize import minimize
-
+    try:
+        restarts = operator.index(restarts)
+    except TypeError:
+        raise ValueError(f"restarts must be an integer, got {restarts!r}") from None
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     forms = _state_forms(*_channel_data(spec, t, sd, receiver_order))
     rng = np.random.default_rng(seed)
 
@@ -700,28 +788,14 @@ def worst_case_fidelity(
     Fs = _fidelities_in_blocks([forms], V)[0]
     k = int(np.argmin(Fs))
     z_k = V[0, k] + 1j * V[1, k]
-    starts = [V[:, k].ravel() / np.linalg.norm(z_k)]
-    starts += [rng.normal(size=8) for _ in range(restarts)]
-
-    best_val = np.inf
-    best_z = z_k
-    exhausted = False
-    # ftol and gtol sit near roundoff, so each search stops at its local
-    # minimum to about 1e-16 in F, after a few dozen iterations at most
-    for x0 in starts:
-        res = minimize(
-            _sphere_objective,
-            x0,
-            args=(forms,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_z = res.x[:4] + 1j * res.x[4:]
-        if not res.success and res.fun <= best_val + 1e-12:
-            exhausted = True
+    starts = np.vstack([V[:, k].ravel(), rng.normal(size=(restarts, 8))])
+    U, F, converged = _newton_on_sphere(
+        forms, starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    )
+    best = int(np.argmin(F))
+    best_val = float(F[best])
+    best_z = U[best, :4] + 1j * U[best, 4:]
+    exhausted = bool(np.any(~converged & (F <= best_val + 1e-12)))
     if best_val > float(Fs[k]) + 1e-12 or (exhausted and best_val > float(Fs[k])):
         warnings.warn(
             "worst-case search exceeded its budget; returning best value found",

@@ -1,10 +1,9 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult
 
 import xxchain.fidelity as fidelity_module
 from conftest import random_grid_chain
@@ -23,9 +22,11 @@ from xxchain.fidelity import (
     _fidelity_at,
     _fidelity_bound,
     _monomials,
+    _newton_on_sphere,
     _quartic,
     _sphere_objective,
     _state_forms,
+    _state_quadrics,
     average_fidelity_approx,
     average_fidelity_exact,
     edge_products,
@@ -650,11 +651,10 @@ class TestWorstCase:
     def test_budget_fallback_returns_sample_state(self, monkeypatch):
         # a search that ends above the Haar sample's minimum falls back to
         # that sample state, and the state returned must be it
-        def stalled(fun, x0, args, **kwargs):
-            x = np.roll(x0, 3)
-            return OptimizeResult(x=x, fun=1.0, success=False)
+        def stalled(W, U):
+            return np.roll(U, 3, axis=1), np.ones(len(U)), np.zeros(len(U), dtype=bool)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        monkeypatch.setattr(fidelity_module, "_newton_on_sphere", stalled)
         spec, t = ChainSpec(N=8, h=6.0), 4.4
         with pytest.warns(WorstCaseBudgetWarning, match="budget"):
             state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
@@ -663,17 +663,93 @@ class TestWorstCase:
         assert fmin == pytest.approx(np.min(_fidelities_in_blocks([W], V)), abs=1e-15)
         assert abs(state_fidelity(spec, state, t) - fmin) < 1e-10
 
+    @pytest.mark.parametrize("capped", [True, False], ids=["capped", "converged"])
+    def test_unconverged_start_near_the_best_warns(self, monkeypatch, capped):
+        # every start ends 5e-13 above the Haar sample's minimum, inside the
+        # 1e-12 margin: certified when all converged, but a start stopped by
+        # the cap within 1e-12 of the best value makes the search uncertified,
+        # and the sample state comes back
+        spec, t = ChainSpec(N=8, h=6.0), 4.4
+        W = _state_forms(*_channel_data(spec, t))
+        V = np.random.default_rng(6).standard_normal((2, 10000, 4))
+        sample_min = float(np.min(_fidelities_in_blocks([W], V)))
+
+        def near(W, U):
+            converged = np.ones(len(U), dtype=bool)
+            converged[1] = not capped
+            return U, np.full(len(U), sample_min + 5e-13), converged
+
+        monkeypatch.setattr(fidelity_module, "_newton_on_sphere", near)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state, fmin = worst_case_fidelity(spec, t, restarts=2, seed=6)
+        budget = [w for w in caught if issubclass(w.category, WorstCaseBudgetWarning)]
+        assert len(budget) == (1 if capped else 0)
+        assert fmin == (sample_min if capped else sample_min + 5e-13)
+        assert abs(state_fidelity(spec, state, t) - sample_min) < 1e-10
+
+    def test_cap_counts_as_not_converged(self, monkeypatch):
+        # these nine starts at the pinned case converge in 6-10 Newton steps;
+        # cut at 3, none of them has
+        W = _state_forms(*_channel_data(ChainSpec(N=8, h=6.0), 4.4))
+        U = np.random.default_rng(6).normal(size=(9, 8))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        assert _newton_on_sphere(W, U.copy())[2].all()
+        monkeypatch.setattr(fidelity_module, "_NEWTON_ITERATIONS", 3)
+        assert not _newton_on_sphere(W, U.copy())[2].any()
+
+    @pytest.mark.parametrize(
+        "spec, t",
+        [
+            pytest.param(ChainSpec(N=8, h=6.0), 4.4, id="pinned"),
+            # a shallow valley that most starts reach through negative
+            # curvature: without the |eigenvalue| 12 of these 17 stall
+            pytest.param(ChainSpec(N=8, h=73.48803934188346), 187.6602017206392,
+                         id="shallow-valley"),
+        ],
+    )
+    def test_every_start_converges_to_a_stationary_point(self, spec, t):
+        # the stop rule leaves a tangent gradient of about sqrt(2 eps |H|)
+        # at most: 2.1e-8 and 8e-9 on these chains
+        W = _state_forms(*_channel_data(spec, t))
+        U = np.random.default_rng(0).normal(size=(17, 8))
+        U, F, converged = _newton_on_sphere(W, U / np.linalg.norm(U, axis=1, keepdims=True))
+        assert converged.all()
+        assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        _, grad, _ = _sphere_objective(U, _state_quadrics(W))
+        tangent = grad - (grad * U).sum(axis=1)[:, None] * U
+        assert np.linalg.norm(tangent, axis=1).max() < 1e-7
+
+    @pytest.mark.parametrize(
+        "restarts, message",
+        [
+            pytest.param(-1, r"restarts must be >= 0, got -1", id="negative"),
+            pytest.param(2.5, r"restarts must be an integer, got 2.5", id="non-integer"),
+        ],
+    )
+    def test_bad_restarts_rejected_before_the_draw(self, normal_draws, restarts, message):
+        with pytest.raises(ValueError, match=message):
+            worst_case_fidelity(ChainSpec(N=8, h=6.0), 4.4, restarts=restarts, seed=6)
+        assert normal_draws == []
+
     @pytest.mark.parametrize("spec, order", GEOMETRIES)
     def test_gradient_matches_central_differences(self, spec, order):
-        forms = _state_forms(*_channel_data(spec, 2.3, receiver_order=order))
+        # the gradient against central differences of the value, and the
+        # Hessian against central differences of the gradient, off the
+        # sphere; on it the value is the state fidelity
+        W = _state_forms(*_channel_data(spec, 2.3, receiver_order=order))
+        Q = _state_quadrics(W)
         rng = np.random.default_rng(21)
         step = 1e-6
         for _ in range(5):
-            x = rng.normal(size=8)
-            _, grad = _sphere_objective(x, forms)
-            fd = np.array([
-                (_sphere_objective(x + step * e, forms)[0]
-                 - _sphere_objective(x - step * e, forms)[0]) / (2.0 * step)
-                for e in np.eye(8)
-            ])
-            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+            x = rng.normal(size=(1, 8))
+            F, grad, hess = _sphere_objective(x, Q)
+            plus = [_sphere_objective(x + step * e, Q) for e in np.eye(8)]
+            minus = [_sphere_objective(x - step * e, Q) for e in np.eye(8)]
+            fd = np.array([(p[0][0] - m[0][0]) / (2.0 * step) for p, m in zip(plus, minus)])
+            assert np.linalg.norm(grad[0] - fd) <= 1e-6 * np.linalg.norm(grad[0])
+            fd = np.array([(p[1][0] - m[1][0]) / (2.0 * step) for p, m in zip(plus, minus)])
+            assert np.linalg.norm(hess[0] - fd) <= 1e-6 * np.linalg.norm(hess[0])
+            u = x / np.linalg.norm(x)
+            on_sphere = _quartic(W, _monomials(u.T))[0]
+            assert _sphere_objective(u, Q)[0] == pytest.approx(on_sphere, rel=1e-12, abs=1e-15)

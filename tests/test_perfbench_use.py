@@ -3,8 +3,8 @@
 perfbench/ runs its workloads against the sources in src/, and its own tests
 take half a minute.  These catch a change in src/ that would break it:
 every name perfbench imports from xxchain resolves, and a t* sweep op, a
-Monte-Carlo op of fidelity_eval and a `verify` op of cli_session each pass
-the workload's own run and check.
+Monte-Carlo op and the worst-case op of fidelity_eval and a `verify` op of
+cli_session each pass the workload's own run and check.
 """
 
 import ast
@@ -48,6 +48,21 @@ def test_monte_carlo_op_passes_the_benchmark_check(monkeypatch):
     op = wl._op("mc", 46)
     result = wl.run(op, tracing.NoTrace())
     assert isinstance(result["mean"], float) and isinstance(result["stderr"], float)
+    assert wl.check(op, result) is None
+
+
+def test_worst_case_op_passes_the_benchmark_check(monkeypatch):
+    # fidelity_eval's one fixed worst-case input, which its tail reads; the
+    # search must certify its minimum there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    refs = json.loads((PERFBENCH / "references.json").read_text())
+    wl = workloads.FidelityEval(1, refs, "")
+    op = wl._op("worst", workloads.WORST_N)
+    result = wl.run(op, tracing.NoTrace())
+    assert result["certified"]
     assert wl.check(op, result) is None
 
 
