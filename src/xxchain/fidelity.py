@@ -697,14 +697,15 @@ def _newton_on_sphere(W: np.ndarray, U: np.ndarray):
     the sphere's normal, and i z, the global phase, along which F does not
     change; the other symmetry, the phase exp(i phi n) of the excitation
     number n (the channel conserves it), leaves a null direction at a
-    minimum, which the floor takes.  The step is cut to length 1 and halved until it lowers F by
-    Armijo's rule along the normalized retraction (u + a step) / |u + a
-    step|, at most 52 times, past which the trial point is u to rounding.
-    A start stops once the predicted decrease -grad . step / 2 is below one
-    ulp of 1: F is a probability computed to absolute precision, and at a
-    minimum near F = 0 an ulp of F is never reached.  Returns (U, F,
-    converged): a start that hit _NEWTON_ITERATIONS, or whose line search
-    found no lower point, has not converged.
+    minimum, which the floor takes.  The step is cut to length 1 and
+    halved until it lowers F by Armijo's rule along the normalized
+    retraction (u + a step) / |u + a step|, at most 52 times, past which
+    the trial point is u to rounding.  A start stops once the predicted
+    decrease -grad . step / 2 is below one ulp of 1: F is a probability
+    computed to absolute precision, and at a minimum near F = 0 an ulp of
+    F is never reached.  Returns (U, F, converged), U updated in place: a
+    start that hit _NEWTON_ITERATIONS, or whose line search found no lower
+    point, has not converged.
     """
     Q = _state_quadrics(W)
     F, grad, hess = _sphere_objective(U, Q)

@@ -703,7 +703,7 @@ class TestWorstCase:
         [
             pytest.param(ChainSpec(N=8, h=6.0), 4.4, id="pinned"),
             # a shallow valley that most starts reach through negative
-            # curvature: without the |eigenvalue| 12 of these 17 stall
+            # curvature: without the |eigenvalue| 13 of these 17 stall
             pytest.param(ChainSpec(N=8, h=73.48803934188346), 187.6602017206392,
                          id="shallow-valley"),
         ],
@@ -743,7 +743,7 @@ class TestWorstCase:
         step = 1e-6
         for _ in range(5):
             x = rng.normal(size=(1, 8))
-            F, grad, hess = _sphere_objective(x, Q)
+            _, grad, hess = _sphere_objective(x, Q)
             plus = [_sphere_objective(x + step * e, Q) for e in np.eye(8)]
             minus = [_sphere_objective(x - step * e, Q) for e in np.eye(8)]
             fd = np.array([(p[0][0] - m[0][0]) / (2.0 * step) for p, m in zip(plus, minus)])
