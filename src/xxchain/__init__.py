@@ -50,10 +50,8 @@ from .perturbation import (
     transfer_time_estimate,
 )
 from .protocol import (
-    QuasiRabiCoefficients,
     TransferTimeResult,
     find_transfer_time,
-    quasi_rabi_coefficients,
     re_f_truncated,
     scan,
 )

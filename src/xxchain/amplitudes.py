@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _check_in_chain
 from .spectral import SpectralData
 
 
@@ -57,14 +57,14 @@ class AmplitudeSet:
 
     def entry(self, n: int, m: int) -> complex:
         """Amplitude f_n^m with 1-based site labels in [1, N]."""
-        _check_sites(self.n, n, m)
+        _check_in_chain(self.n, (n, m))
         return complex(self.f[n - 1, m - 1])
 
 
-def _check_sites(N: int, *sites: int) -> None:
-    for s in sites:
-        if not 1 <= s <= N:
-            raise ValueError(f"site {s} outside chain [1, {N}]")
+def _check_times(ts) -> None:
+    """Raise ValueError unless every time of ts, a float or an array, is finite."""
+    if not np.isfinite(ts).all():
+        raise ValueError(f"times must be finite, got {ts}")
 
 
 def propagator(sd: SpectralData, t: float) -> AmplitudeSet:
@@ -84,8 +84,7 @@ def propagator(sd: SpectralData, t: float) -> AmplitudeSet:
     propagator_rows to 1e-13 in absolute value (see the module docstring).
     """
     t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    _check_times(t)
     a = sd.eigenvectors
     N = a.shape[0]
     theta = sd.eigenvalues * t
@@ -143,12 +142,9 @@ def propagator_rows(sd: SpectralData, sites, ts) -> np.ndarray:
     a = sd.eigenvectors
     N = a.shape[0]
     sites = np.asarray(sites)
-    if sites.size and (sites.min() < 1 or sites.max() > N):
-        bad = (sites < 1) | (sites > N)
-        raise ValueError(f"site {sites[bad.argmax()]} outside chain [1, {N}]")
+    _check_in_chain(N, sites)
     ts = np.asarray(ts, dtype=float)
-    if not np.isfinite(ts).all():
-        raise ValueError(f"times must be finite, got {ts}")
+    _check_times(ts)
     phases = np.exp(-1j * np.outer(ts, sd.eigenvalues))  # (T, N)
     # f_s^m(t) = sum_k (phases[t,k] * a[k,s]) * a[k,m]: the real, then the
     # imaginary parts of the weights, of shape (2, T, S, N), times a; the

@@ -100,14 +100,34 @@ class ChainSpec:
         roles = {s1, s2, r1, r2}
         if len(roles) != 4:
             raise ValueError("sender and receiver sites must be four distinct sites")
-        for site in roles | set(self.barriers):
-            if not 1 <= site <= N:
-                raise ValueError(f"site {site} outside chain [1, {N}]")
+        _check_in_chain(N, roles | set(self.barriers))
 
     @property
     def channel_sites(self) -> tuple[int, ...]:
         """Interior sites 3..N-2 (1-based), the quantum channel proper."""
         return tuple(range(3, self.N - 1))
+
+
+def _check_in_chain(N: int, sites) -> None:
+    """Raise ValueError for the first of the 1-based sites outside [1, N]."""
+    for s in sites:
+        if not 1 <= s <= N:
+            raise ValueError(f"site {s} outside chain [1, {N}]")
+
+
+def _receiver_sites(spec: ChainSpec, receiver_order: str = "12") -> tuple[int, int]:
+    """The receiver sites (r1, r2) of qubits 1 and 2.
+
+    receiver_order "12" puts qubit 1 on the first receiver site and qubit 2
+    on the second, "21" mirrors the assignment; any other value is a
+    ValueError.
+    """
+    r1, r2 = spec.receivers
+    if receiver_order == "21":
+        return r2, r1
+    if receiver_order != "12":
+        raise ValueError(f"receiver_order must be '12' or '21', got {receiver_order!r}")
+    return r1, r2
 
 
 @dataclass(frozen=True)

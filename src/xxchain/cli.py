@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .amplitudes import channel_occupation, propagator, propagator_rows
-from .chain import ChainSpec, build_single_particle
+from .chain import ChainSpec, _check_in_chain, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
     _evaluator_weights,
@@ -71,14 +71,6 @@ def _parse_list(text, cast=float):
         return [cast(p) for p in parts if p]
     except ValueError as exc:
         raise CliError(f"cannot parse list {text!r}: {exc}")
-
-
-def _check_sites(spec: ChainSpec, sites, flag: str):
-    # propagator_rows checks only the source rows; a target column of 0
-    # would read the last site
-    for s in sites:
-        if not 1 <= s <= spec.N:
-            raise CliError(f"{flag}: site {s} outside chain [1, {spec.N}]")
 
 
 def _load_config(path):
@@ -320,14 +312,16 @@ def _cmd_amplitudes(args, spec):
     if not f_entries and not g_entries:
         f_entries = [(s1, r1), (s1, r2), (s2, r1), (s2, r2)]
         g_entries = [(s1, s2, r1, r2)]
+    # every site, not only the source rows propagator_rows checks: a target
+    # column of 0 would read the last site
     for e in f_entries:
         if len(e) != 2:
             raise CliError(f"--f expects 'n,m', got {e}")
-        _check_sites(spec, e, "--f")
+        _check_in_chain(spec.N, e)
     for e in g_entries:
         if len(e) != 4:
             raise CliError(f"--g expects 'n,m,r,s', got {e}")
-        _check_sites(spec, e, "--g")
+        _check_in_chain(spec.N, e)
         if not (e[0] < e[1] and e[2] < e[3]):
             raise CliError(f"--g expects ordered pairs n < m and r < s, got {e}")
     ts = _time_grid(args)
@@ -413,9 +407,9 @@ def _cmd_perturb(_args, spec):
     idx = localized_indices(spec.N)
     exact = [float(sd.eigenvalues[k - 1]) for k in idx]
     freqs = rabi_frequencies(exact)
-    # the t* search's check; it also keeps h = 1e200 from the cubic
-    if freqs.omega1_minus <= 0:
-        raise CliError("degenerate quadruplet: slow envelope frequency is zero")
+    # the t* search's check, read before the cubic so that it keeps h = 1e200
+    # from it
+    t1 = freqs.envelope_time
     ps = perturbative_energies(spec.N, spec.h)
     pert = sorted(ps.lambdas.values())
     columns = ["k", "eps_exact", "lambda_perturbative", "rel_error"]
@@ -429,7 +423,7 @@ def _cmd_perturb(_args, spec):
         "omega1_plus": freqs.omega1_plus,
         "omega1_minus": freqs.omega1_minus,
         "t1_closed_form": transfer_time_estimate(spec.N, spec.h),
-        "t1_from_spectrum": float(np.pi / (2.0 * freqs.omega1_minus)),
+        "t1_from_spectrum": t1,
     }
     return columns, rows, diag
 

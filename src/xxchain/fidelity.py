@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import propagator_rows
-from .chain import ChainSpec, build_single_particle
+from .amplitudes import _check_times, propagator_rows
+from .chain import ChainSpec, _receiver_sites, build_single_particle
 from .sector_oracle import TwoQubitState
 from .spectral import SpectralData, diagonalize
 
@@ -101,11 +101,7 @@ def _channel_data(
     """
     if sd is None:
         sd = diagonalize(build_single_particle(spec))
-    r1, r2 = spec.receivers
-    if receiver_order == "21":
-        r1, r2 = r2, r1
-    elif receiver_order != "12":
-        raise ValueError(f"receiver_order must be '12' or '21', got {receiver_order!r}")
+    r1, r2 = _receiver_sites(spec, receiver_order)
     w1, w2 = propagator_rows(sd, spec.senders, [t])[0]
     notR = np.ones(spec.N, dtype=bool)
     notR[[r1 - 1, r2 - 1]] = False
@@ -557,13 +553,11 @@ def _quartic(W: np.ndarray, m: np.ndarray):
 
     F(z) = ||W^T m(z)||^2 is homogeneous of degree 4, so F(z) / |z|^4 is
     the fidelity of the state z / |z|, and no normalized copy of z is
-    formed; |z|^2 is the sum of the 8 squares.  Returns (F, out) with the
-    unnormalized forms out = W^T m(z), of shape (12, S), which the gradient
-    reads.
+    formed; |z|^2 is the sum of the 8 squares.  Returns F, of shape (S,).
     """
     out = W.T @ m
     nrm2 = m[:8].sum(axis=0)
-    return (out * out).sum(axis=0) / (nrm2 * nrm2), out
+    return (out * out).sum(axis=0) / (nrm2 * nrm2)
 
 
 # Samples per _quartic call when a Haar sample is evaluated.  The
@@ -588,7 +582,7 @@ def _fidelities_in_blocks(forms, V: np.ndarray) -> np.ndarray:
     for i in range(0, V.shape[1], _MC_BLOCK):
         m = _monomials(V[:, i : i + _MC_BLOCK].transpose(0, 2, 1).reshape(8, -1))
         for F, W in zip(out, forms):
-            F[i : i + _MC_BLOCK] = _quartic(W, m)[0]
+            F[i : i + _MC_BLOCK] = _quartic(W, m)
         # freed before the next block's monomials are formed
         del m
     return out
@@ -617,8 +611,7 @@ def haar_average_mc(
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ValueError(f"need a time or a nonempty 1-D array of times, got shape {times.shape}")
-    if not np.isfinite(times).all():
-        raise ValueError(f"times must be finite, got {times}")
+    _check_times(times)
     try:
         samples = operator.index(samples)
     except TypeError:

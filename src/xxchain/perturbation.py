@@ -52,6 +52,17 @@ class RabiFrequencies:
     omega1_plus: float
     omega1_minus: float
 
+    @property
+    def envelope_time(self) -> float:
+        """The slow envelope's quarter period pi/(2 omega1_minus), the transfer time.
+
+        Raises ArithmeticError when omega1_minus <= 0, a degenerate
+        quadruplet (at h = 1e200 it rounds to zero).
+        """
+        if self.omega1_minus <= 0:
+            raise ArithmeticError("degenerate quadruplet: slow envelope frequency is zero")
+        return np.pi / (2.0 * self.omega1_minus)
+
 
 def cubic_roots(h: float) -> tuple[float, float, float]:
     """Descending real roots of the secular cubic x^3 + h x^2 - 2 x - h = 0.

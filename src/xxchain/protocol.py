@@ -32,20 +32,6 @@ from .perturbation import RabiFrequencies, rabi_frequencies, transfer_time_estim
 from .spectral import SpectralData, classify_chain, diagonalize, edge_modes
 
 
-@dataclass(frozen=True)
-class QuasiRabiCoefficients:
-    """Eigenvector weight coefficients of the six-state truncation.
-
-    c1 = 1/4 - 3/(2N - 1) and c3 = 3/(2N - 1) split the edge weight between
-    the quadruplet and the extended states (c1 + c3 = 1/4); c2 = 1/4 is the
-    unchanged quadruplet weight on the outer edge sites.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-
 # The grid scan's work, as _scan returns it and TransferTimeResult records it
 _SEARCH_WORK = (
     "modes_kept", "screen_terms", "truncation_bound", "grid_points", "grid_points_exact"
@@ -91,14 +77,6 @@ class TransferTimeResult:
 
     def __iter__(self):
         return iter((self.t_star, self.fidelity))
-
-
-def quasi_rabi_coefficients(N: int) -> QuasiRabiCoefficients:
-    """Six-state truncation coefficients for a quasi-Rabi chain."""
-    if N < 7:
-        raise ValueError(f"N must be >= 7, got {N}")
-    c3 = 3.0 / (2.0 * N - 1.0)
-    return QuasiRabiCoefficients(c1=0.25 - c3, c2=0.25, c3=c3)
 
 
 def re_f_truncated(t, spec: ChainSpec, sd: SpectralData | None = None):
@@ -191,10 +169,8 @@ def _nearest_branch(omega: float, target_phase: float, t_ref: float) -> float:
 
 def _rabi_window(N: int, freqs: RabiFrequencies) -> tuple[float, float, float]:
     """Two fast periods either side of the analytic candidate."""
-    w0p, w0m, w1m = freqs.omega0_plus, freqs.omega0_minus, freqs.omega1_minus
-    if w1m <= 0:
-        raise ArithmeticError("degenerate quadruplet: slow envelope frequency is zero")
-    t1 = np.pi / (2.0 * w1m)
+    w0p, w0m = freqs.omega0_plus, freqs.omega0_minus
+    t1 = freqs.envelope_time
 
     if N % 2 == 0:
         # align the slow cosine factor at an extremum first, then pick the

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, build_single_particle
+from .chain import ChainSpec, _receiver_sites, build_single_particle
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,7 @@ def _receiver_vectors(spec: ChainSpec, es: EvolvedState, receiver_order: str = "
     density matrix is the sum of outer products of these vectors.
     """
     N = spec.N
-    r1, r2 = spec.receivers
-    if receiver_order == "21":
-        r1, r2 = r2, r1
-    elif receiver_order != "12":
-        raise ValueError(f"receiver_order must be '12' or '21', got {receiver_order!r}")
+    r1, r2 = _receiver_sites(spec, receiver_order)
     basis = SectorBasis(N)
     vecs: dict[tuple, np.ndarray] = {}
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chain import SymTridiag
+from .chain import SymTridiag, _check_in_chain
 
 
 # Palindromic chains at least this long are solved as two mirror parity
@@ -54,14 +54,6 @@ class SpectralData:
         return len(self.eigenvalues)
 
 
-def _solve(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh_tridiagonal(d, e), with a RuntimeError if it does not converge."""
-    try:
-        return eigh_tridiagonal(d, e)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-        raise RuntimeError(f"tridiagonal eigensolver failed to converge: {exc}")
-
-
 def _fix_signs(vecs: np.ndarray) -> None:
     """Negate, in place, every row whose first entry of magnitude above
     1e-12 is negative."""
@@ -95,7 +87,7 @@ def _diagonalize_folded(d: np.ndarray, e: np.ndarray) -> SpectralData:
     else:
         de[-1] += e[k - 1]
         do[-1] -= e[k - 1]
-    (we, ve), (wo, vo) = _solve(de, ee), _solve(do, eo)
+    (we, ve), (wo, vo) = eigh_tridiagonal(de, ee), eigh_tridiagonal(do, eo)
     w = np.concatenate((we, wo))
     order = np.argsort(w, kind="stable")
     rank = np.empty(N, dtype=np.intp)
@@ -122,17 +114,14 @@ def diagonalize(m: SymTridiag) -> SpectralData:
     each equal their own reverse is mirror symmetric: it is solved as two
     parity blocks of half the size (_diagonalize_folded), and the result
     records each mode's parity.  Every other chain is one full-size
-    eigh_tridiagonal call.  Raises a RuntimeError if the underlying solver
-    does not converge.
+    eigh_tridiagonal call, a one-site chain included.  A solver that does
+    not converge raises numpy's LinAlgError, a ValueError.
     """
     d = np.asarray(m.diagonal, dtype=float)
     e = np.asarray(m.off_diagonal, dtype=float)
     if len(d) >= _FOLD_MIN_N and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
         return _diagonalize_folded(d, e)
-    if len(d) == 1:
-        w, v = d.copy(), np.ones((1, 1))
-    else:
-        w, v = _solve(d, e)
+    w, v = eigh_tridiagonal(d, e)
     vecs = v.T  # rows = eigenstates, C-contiguous: v is Fortran-ordered
     _fix_signs(vecs)
     return SpectralData(eigenvalues=w, eigenvectors=vecs)
@@ -148,10 +137,7 @@ def localization_profile(sd: SpectralData, sites) -> np.ndarray:
     sites = sorted(set(int(s) for s in sites))
     if not sites:
         raise ValueError("site set must be nonempty")
-    N = sd.n
-    for s in sites:
-        if not 1 <= s <= N:
-            raise ValueError(f"site {s} outside chain [1, {N}]")
+    _check_in_chain(sd.n, sites)
     cols = [s - 1 for s in sites]
     return np.sum(sd.eigenvectors[:, cols] ** 2, axis=1)
 

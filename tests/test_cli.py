@@ -12,6 +12,7 @@ import scipy
 
 import xxchain.cli as cli_module
 import xxchain.fidelity as fidelity_module
+import xxchain.spectral as spectral_module
 from conftest import pair_amplitude
 from xxchain.amplitudes import propagator
 from xxchain.chain import ChainSpec, build_single_particle
@@ -298,6 +299,20 @@ class TestExitCodes:
         assert run(["transfer-time", "--N", "30", "--h", "60"]) == 1
         assert capsys.readouterr().err == "error: boom\n"
         assert not list(outdir.iterdir())
+
+    def test_eigensolver_failure_is_an_error_line(self, outdir, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, which run reports, and which
+        # scan records as the failed point's error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(spectral_module, "eigh_tridiagonal", no_convergence)
+        assert run(["spectrum", "--N", "30", "--h", "60"]) == 1
+        assert capsys.readouterr().err == "error: eigenvalues did not converge\n"
+        assert not list(outdir.iterdir())
+        assert run(["scan", "--N", "30", "--axis", "h", "--values", "60"]) == 0
+        _, header, rows = read_csv(outdir / "scan.csv")
+        assert [row[header.index("error")] for row in rows] == ["eigenvalues did not converge"]
 
     def test_other_exceptions_propagate(self, outdir, monkeypatch):
         def boom(*args, **kwargs):

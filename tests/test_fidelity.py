@@ -100,6 +100,16 @@ class TestExactAverage:
     def test_perfect_transfer_override(self):
         assert fidelity_from_edge_amplitudes(1.0, 1.0, 1.0) == 1.0
 
+    def test_bad_receiver_order_rejected_as_the_oracle_rejects_it(self):
+        spec = ChainSpec(N=8, h=3.0)
+        with pytest.raises(ValueError) as fast:
+            average_fidelity_exact(spec, 1.0, receiver_order="13")
+        with pytest.raises(ValueError) as oracle:
+            state_fidelity(spec, TwoQubitState(1, 0, 0, 0), 1.0, receiver_order="13")
+        assert str(fast.value) == str(oracle.value) == (
+            "receiver_order must be '12' or '21', got '13'"
+        )
+
     @pytest.mark.parametrize("spec, order", GEOMETRIES)
     def test_nielsen_relation(self, spec, order):
         # Fbar = (d F_e + 1) / (d + 1) with d = 4 (Nielsen, Phys. Lett. A
@@ -486,7 +496,7 @@ class TestMonteCarlo:
         samples = 2 * _MC_BLOCK + 37
         V = np.random.default_rng(9).standard_normal((2, samples, 4))
         W = _state_forms(*_channel_data(spec, 2.0))
-        F = _quartic(W, _monomials(V.transpose(0, 2, 1).reshape(8, samples)))[0]
+        F = _quartic(W, _monomials(V.transpose(0, 2, 1).reshape(8, samples)))
         mean, err = haar_average_mc(spec, 2.0, samples, seed=9)
         assert mean == pytest.approx(F.mean(), rel=0.0, abs=1e-15)
         assert err == pytest.approx(F.std(ddof=1) / np.sqrt(samples), rel=1e-12)
@@ -751,5 +761,5 @@ class TestWorstCase:
             fd = np.array([(p[1][0] - m[1][0]) / (2.0 * step) for p, m in zip(plus, minus)])
             assert np.linalg.norm(hess[0] - fd) <= 1e-6 * np.linalg.norm(hess[0])
             u = x / np.linalg.norm(x)
-            on_sphere = _quartic(W, _monomials(u.T))[0]
+            on_sphere = _quartic(W, _monomials(u.T))
             assert _sphere_objective(u, Q)[0] == pytest.approx(on_sphere, rel=1e-12, abs=1e-15)

@@ -3,6 +3,7 @@ import pytest
 
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.perturbation import (
+    RabiFrequencies,
     cubic_roots,
     perturbative_energies,
     rabi_frequencies,
@@ -107,6 +108,18 @@ class TestRabiFrequencies:
         t1 = np.pi / (2.0 * rf.omega1_minus)
         res = find_transfer_time(spec, sd)
         assert abs(t1 - res.t_star) < 0.05 * res.t_star
+
+    def test_envelope_time(self):
+        rf = RabiFrequencies(omega0_plus=1.5, omega0_minus=2.0, omega1_plus=0.1, omega1_minus=0.25)
+        assert rf.envelope_time == 2.0 * np.pi
+
+    def test_degenerate_envelope_rejected(self):
+        # mirror pairs of equal splitting: omega1_minus is exactly zero
+        rf = rabi_frequencies([-2.0, -2.0, 2.0, 2.0])
+        assert rf.omega1_minus == 0.0
+        with pytest.raises(ArithmeticError,
+                           match="^degenerate quadruplet: slow envelope frequency is zero$"):
+            rf.envelope_time
 
 
 class TestTransferTimeEstimate:

@@ -19,7 +19,6 @@ from xxchain.protocol import (
     _refine,
     _scan,
     find_transfer_time,
-    quasi_rabi_coefficients,
     re_f_truncated,
     scan,
 )
@@ -29,18 +28,6 @@ from xxchain.spectral import diagonalize, edge_modes, localized_indices
 def exact_re_f(spec, sd, ts):
     rows = propagator_rows(sd, [spec.senders[0]], np.asarray(ts, dtype=float))
     return rows[:, 0, spec.receivers[0] - 1].real
-
-
-class TestCoefficients:
-    def test_values(self):
-        c = quasi_rabi_coefficients(29)
-        assert c.c2 == 0.25
-        assert c.c3 == pytest.approx(3.0 / 57.0)
-        assert c.c1 + c.c3 == pytest.approx(0.25)
-
-    def test_small_chain_rejected(self):
-        with pytest.raises(ValueError):
-            quasi_rabi_coefficients(6)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +93,12 @@ class TestSixStateTruncation:
     def test_product_magnitudes_match_coefficients(self, quasi_chain):
         spec, sd = quasi_chain
         products = edge_products(spec, sd)[edge_modes(29), 0]
-        c = quasi_rabi_coefficients(29)
-        expected = (c.c1, c.c2, c.c3, c.c1, c.c2, c.c3)
+        # the six-state truncation's weights: c3 = 3/(2N - 1) moves to the
+        # extended states from the quadruplet's c1 = 1/4 - c3, while the
+        # outer edge sites keep c2 = 1/4
+        c3 = 3.0 / (2.0 * 29 - 1.0)
+        c1, c2 = 0.25 - c3, 0.25
+        expected = (c1, c2, c3, c1, c2, c3)
         assert np.allclose(np.abs(products), expected, atol=0.01)
 
     @pytest.mark.parametrize("h", [100.0, 200.0])
