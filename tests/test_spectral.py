@@ -37,7 +37,6 @@ class TestDiagonalize:
         assert np.allclose(sd.eigenvectors[1], [s, -s], atol=1e-14)
 
     def test_single_site(self):
-        # the solver's own one-site result, with no branch of diagonalize's
         sd = diagonalize(SymTridiag((4.5,), ()))
         assert sd.eigenvalues.tolist() == [4.5]
         assert sd.eigenvectors.tolist() == [[1.0]]
