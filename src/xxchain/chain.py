@@ -60,17 +60,15 @@ class ChainSpec:
         object.__setattr__(self, "receivers", tuple(int(r) for r in self.receivers))
         object.__setattr__(self, "barriers", tuple(int(b) for b in self.barriers))
 
+        couplings, fields = _barrier_chain(N, self.h, self.barriers)
         if self.couplings is None:
-            object.__setattr__(self, "couplings", (1.0,) * (N - 1))
+            object.__setattr__(self, "couplings", couplings)
         else:
             object.__setattr__(
                 self, "couplings", tuple(float(j) for j in self.couplings)
             )
         if self.fields is None:
-            f = [0.0] * N
-            for b in self.barriers:
-                f[b - 1] = self.h
-            object.__setattr__(self, "fields", tuple(f))
+            object.__setattr__(self, "fields", fields)
         else:
             object.__setattr__(self, "fields", tuple(float(x) for x in self.fields))
 
@@ -106,6 +104,15 @@ class ChainSpec:
     def channel_sites(self) -> tuple[int, ...]:
         """Interior sites 3..N-2 (1-based), the quantum channel proper."""
         return tuple(range(3, self.N - 1))
+
+
+def _barrier_chain(N: int, h: float, barriers) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The barrier chain's couplings and fields, a ChainSpec's defaults:
+    J = 1 on every bond, and h on the barrier sites and 0 elsewhere."""
+    fields = [0.0] * N
+    for b in barriers:
+        fields[b - 1] = h
+    return (1.0,) * (N - 1), tuple(fields)
 
 
 def _check_in_chain(N: int, sites) -> None:

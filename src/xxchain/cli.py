@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -147,18 +148,37 @@ def _row_format(kinds: tuple) -> str | None:
     return ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
 
 
+# Rows per block of _write_rows: one %-format and one write per block.  A
+# 2000 x 12 float table, amplitudes' default at --steps 2000, took 10.4 ms
+# with 256 against 12.3 ms with 1 and 11.4 ms with 4096 (median of 30, one
+# core of a 2-core x86 VM); formatting each float with %.12g is most of it.
+_ROWS_PER_BLOCK = 256
+
+
 def _write_rows(fh, rows):
     """Write rows as csv.writer writes [_fmt(v) for v in row], "\n"-ended.
 
-    An all-number row is formatted in one step by _row_format's format.
+    rows is a list of rows or a 2-D number array.  Each run of consecutive
+    all-number rows that share _row_format's format, and every row of an
+    array, is written in blocks of _ROWS_PER_BLOCK rows, one %-format and
+    one fh.write per block; an array's cells are read as one flat list, so
+    no row becomes a list of its own.  Other rows go through csv.writer.
     """
+    if isinstance(rows, np.ndarray):
+        fmt = _row_format((rows.dtype.type,) * rows.shape[1])
+        for lo in range(0, len(rows), _ROWS_PER_BLOCK):
+            block = rows[lo : lo + _ROWS_PER_BLOCK]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+        return
     writer = csv.writer(fh, lineterminator="\n")
-    for row in rows:
-        fmt = _row_format(tuple(map(type, row)))
+    for fmt, run in itertools.groupby(rows, key=lambda row: _row_format(tuple(map(type, row)))):
         if fmt is None:
-            writer.writerow([_fmt(v) for v in row])
-        else:
-            fh.write(fmt % tuple(row))
+            writer.writerows([_fmt(v) for v in row] for row in run)
+            continue
+        run = list(run)
+        for lo in range(0, len(run), _ROWS_PER_BLOCK):
+            block = run[lo : lo + _ROWS_PER_BLOCK]
+            fh.write(fmt * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def _finite_or_null(obj):
@@ -226,13 +246,16 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
         with open(path, "w") as fh:
             written.append(path)
             if args.format == "json":
+                if isinstance(rows, np.ndarray):
+                    rows = rows.tolist()
                 _dump_json(fh, {**head, "columns": columns, "rows": rows,
                                 "diagnostics": diagnostics})
             else:
                 fh.write(f"# xxchain {__version__} :: {args.subcommand}\n")
                 fh.write(f"# spec: N={spec.N} h={_fmt(spec.h)} senders={spec.senders} "
                          f"receivers={spec.receivers} barriers={spec.barriers}\n")
-                _write_rows(fh, [columns, *rows])
+                _write_rows(fh, [columns])
+                _write_rows(fh, rows)
         unused = {"func", "subcommand"}
         if getattr(args, "t", None) is not None or getattr(args, "t_star", False):
             unused |= {"t0", "t1", "steps"}  # one time, not the grid
@@ -255,11 +278,13 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
 
 
 # Complex entries of propagator_rows per chunk of the amplitudes time grid
-# (128 kB), so that memory stays bounded at large N and on long grids.  For
-# 2000 steps at N = 46 on one core of a 2-core x86 VM, 2^18 entries (one
-# chunk) raised the process's peak RSS by 12 MB and 2^13 by 1.6 MB; a whole
-# amplitudes call took 23-27 ms with 2^13 against 34 ms.  For 300 steps at
-# N = 1000, 2^13 took 188-204 ms against 144-146 ms, at +1.6 against +9.4 MB.
+# (128 kB), so that memory stays bounded at large N and on long grids; each
+# chunk is written into the one float table of the call.  For 2000 steps at
+# N = 46 on one core of a 2-core x86 VM, a first amplitudes call in a
+# process raised its peak RSS by 0.2 MB with 2^13 entries and by 9.7 MB with
+# 2^18 (one chunk), and a whole call took 27-28 ms against 35-38 ms (median
+# of 15).  For 300 steps at N = 1000, 2^13 took 228-246 ms against
+# 154-162 ms, at +20.5 against +28.7 MB, the eigenvectors included.
 _ROWS_PER_CHUNK = 1 << 13
 
 
@@ -276,7 +301,8 @@ def _time_grid(args):
 
 
 # ---------------------------------------------------------------- subcommands
-# Each _cmd_*(args, spec) returns its table as (columns, rows, diagnostics).
+# Each _cmd_*(args, spec) returns its table as (columns, rows, diagnostics);
+# rows is a list of rows or, for amplitudes, one float array.
 
 
 def _cmd_spectrum(args, spec):
@@ -336,23 +362,23 @@ def _cmd_amplitudes(args, spec):
     sources = sorted({s1, s2, *(e[0] for e in f_entries), *(n for e in g_entries for n in e[:2])})
     at = {site: i for i, site in enumerate(sources)}
     chunk = max(1, _ROWS_PER_CHUNK // (len(sources) * spec.N))
-    rows = []
+    table = np.empty((len(ts), len(columns)))
     for lo in range(0, len(ts), chunk):
         tc = ts[lo : lo + chunk]
         R = propagator_rows(sd, sources, tc)
+        out = table[lo : lo + chunk]
 
         def f(n, m):
             return R[:, at[n], m - 1]
 
-        cols = [tc]
-        for n, m in f_entries:
-            cols += [f(n, m).real, f(n, m).imag]
-        for n, m, r, s in g_entries:
-            z = f(n, r) * f(m, s) - f(n, s) * f(m, r)
-            cols += [z.real, z.imag]
-        cols.append(channel_occupation(R[:, [at[s1], at[s2]]], spec))
-        rows += np.column_stack(cols).tolist()
-    return columns, rows, {}
+        amps = [f(n, m) for n, m in f_entries]
+        amps += [f(n, r) * f(m, s) - f(n, s) * f(m, r) for n, m, r, s in g_entries]
+        out[:, 0] = tc
+        for j, z in enumerate(amps):
+            out[:, 2 * j + 1] = z.real
+            out[:, 2 * j + 2] = z.imag
+        out[:, -1] = channel_occupation(R[:, [at[s1], at[s2]]], spec)
+    return columns, table, {}
 
 
 def _cmd_fidelity(args, spec):

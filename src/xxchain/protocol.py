@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainSpec, build_single_particle
+from .chain import ChainSpec, _barrier_chain, build_single_particle
 from .fidelity import (
     _evaluator_weights,
     _fidelity_at,
@@ -202,6 +202,23 @@ def _quasi_rabi_window(levels: np.ndarray) -> tuple[float, float, None]:
     return 0.0, float(max(periods)), None
 
 
+def _check_barrier_chain(spec: ChainSpec, parts=("couplings", "fields")) -> None:
+    """Raise ValueError unless each of parts, by default the spec's couplings
+    and fields, is the barrier chain's: J = 1 on every bond, h on the barrier
+    sites and 0 elsewhere.
+
+    The t* search reads its window and step from that chain's levels; on
+    another chain, such as one with weak end bonds, its window can miss the
+    transfer altogether and its answer would look valid.
+    """
+    barrier = _barrier_chain(spec.N, spec.h, spec.barriers)
+    for part, value in zip(("couplings", "fields"), barrier):
+        if part in parts and getattr(spec, part) != value:
+            raise ValueError(
+                f"the t* search needs the barrier chain's {part}, not custom {part}"
+            )
+
+
 def find_transfer_time(
     spec: ChainSpec, sd: SpectralData | None = None
 ) -> TransferTimeResult:
@@ -234,7 +251,11 @@ def find_transfer_time(
     the quadruplet.  For a quasi-Rabi chain the highest is the extended
     state at +2, not a level of the quadruplet of localized_indices; a step
     from the quadruplet moves t* on most quasi-Rabi chains.
+
+    The search is defined on the barrier chain only: custom couplings or
+    fields are a ValueError (_check_barrier_chain).
     """
+    _check_barrier_chain(spec)
     if sd is None:
         sd = diagonalize(build_single_particle(spec))
     regime = classify_chain(spec.N)
@@ -276,16 +297,17 @@ def scan(base: ChainSpec, axis: str, values) -> list[TransferTimeResult]:
     barrier sites, and the barrier fields follow h; custom fields are
     rejected, since h would not reach them.  Along N only the default
     geometry is defined, so any other is rejected.  Points are computed
-    independently in input order; a failing point is recorded with NaNs
-    and its error message instead of aborting the scan.
+    independently in input order; a failing point, such as every point of
+    a chain with custom couplings, which find_transfer_time refuses, is
+    recorded with NaNs and its error message instead of aborting the scan.
     """
     if axis not in ("h", "N"):
         raise ValueError(f"axis must be 'h' or 'N', got {axis!r}")
     values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
-    if axis == "h" and base.fields != replace(base, fields=None).fields:
-        raise ValueError("a scan over h needs the barrier fields, not custom fields")
+    if axis == "h":
+        _check_barrier_chain(base, ("fields",))
     if axis == "N" and base != ChainSpec(N=base.N, h=base.h):
         raise ValueError("a scan over N needs the default chain geometry")
     records = []

@@ -396,6 +396,19 @@ class TestOutputs:
             occupation = sum(abs(amp.entry(s, n)) ** 2 for s in (1, 2) for n in cols)
             assert abs(values["channel_occupation"] - occupation) < 1e-10
 
+    def test_amplitudes_json_rows_are_the_csv_values(self, outdir, monkeypatch):
+        # several chunks, and more rows than two writer blocks
+        monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", 3 * 10 * 100)
+        argv = ["amplitudes", "--N", "10", "--h", "4", "--f", "3,9", "--g", "1,2,9,10",
+                "--t0", "0", "--t1", "30", "--steps", str(2 * cli_module._ROWS_PER_BLOCK + 3)]
+        assert run(argv) == 0
+        assert run(argv + ["--format", "json"]) == 0
+        _, header, rows = read_csv(outdir / "amplitudes.csv")
+        payload = strict_json(outdir / "amplitudes.json")
+        assert payload["columns"] == header
+        assert all(type(x) is float for row in payload["rows"] for x in row)
+        assert [[format(x, ".12g") for x in row] for row in payload["rows"]] == rows
+
     def test_fidelity_json_format(self, outdir):
         assert run([
             "fidelity", "--N", "8", "--h", "3", "--t", "2.0", "--format", "json",
@@ -512,13 +525,27 @@ class TestOutputs:
         ],
         ids=["sites", "couplings", "barriers"],
     )
-    def test_one_point_scan_is_the_transfer_time_row(self, outdir, flags):
-        assert run(["transfer-time", "--N", "30", "--h", "60", *flags]) == 0
-        _, header, (row,) = read_csv(outdir / "transfer_time.csv")
+    def test_one_point_scan_is_the_transfer_time_row(self, outdir, capsys, flags):
+        # the search refuses custom couplings: transfer-time exits 1 with
+        # one line, and scan records its message as the point's error
+        refused = "--couplings" in flags
+        code = run(["transfer-time", "--N", "30", "--h", "60", *flags])
         assert run(["scan", "--N", "30", "--axis", "h", "--values", "60", *flags]) == 0
         _, scan_header, (scan_row,) = read_csv(outdir / "scan.csv")
-        assert scan_header == header + ["error"]
-        assert scan_row == row + [""]
+        assert scan_header == cli_module._RECORD_COLUMNS + ["error"]
+        if refused:
+            assert code == 1 and not (outdir / "transfer_time.csv").exists()
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == "error: the t* search needs the barrier chain's couplings, " \
+                           "not custom couplings"
+            with open(outdir / "scan.csv") as fh:
+                *_, scan_row = csv.reader(fh)
+            assert scan_row == ["30", "60", "rabi", *["nan"] * 6, line[len("error: "):]]
+        else:
+            assert code == 0
+            _, header, (row,) = read_csv(outdir / "transfer_time.csv")
+            assert scan_header == header + ["error"]
+            assert scan_row == row + [""]
 
     def test_zero_field_scan_is_the_transfer_time_row(self, outdir):
         assert run(["transfer-time", "--N", "30", "--h", "0"]) == 0
@@ -599,6 +626,23 @@ class TestCsvRows:
         rows += (rng.normal(size=(50, 16)) * 10.0 ** rng.integers(-30, 30, size=(50, 16))).tolist()
         rows.append([np.float64(x) for x in _SPECIAL_FLOATS])
         assert cli_module._row_format(tuple(map(type, rows[0]))) is not None
+        assert _new_csv_rows(rows) == _old_csv_rows(rows)
+
+    def test_float_array_in_blocks(self):
+        # two whole blocks and 3 rows, each row a rotation of the special
+        # floats
+        n = 2 * cli_module._ROWS_PER_BLOCK + 3
+        table = np.array([np.roll(_SPECIAL_FLOATS, k) for k in range(n)])
+        assert table.shape == (n, len(_SPECIAL_FLOATS))
+        assert _new_csv_rows(table) == _old_csv_rows(table.tolist())
+
+    def test_runs_across_blocks(self):
+        # runs of one format longer than a block, ended by a string row and
+        # by rows of another format
+        block = cli_module._ROWS_PER_BLOCK
+        floats = [[x, -x] for x in np.linspace(-1.0, 1.0, block + 5).tolist()]
+        ints = [[k, 0.5] for k in range(block + 1)]
+        rows = floats + [["rabi", 1.0]] + ints + floats[:3]
         assert _new_csv_rows(rows) == _old_csv_rows(rows)
 
     def test_int_column(self):

@@ -35,7 +35,14 @@ from xxchain.fidelity import (
     worst_case_fidelity,
 )
 from xxchain.protocol import find_transfer_time
-from xxchain.sector_oracle import TwoQubitState, _receiver_vectors, evolve, state_fidelity
+from xxchain.chain import _receiver_sites
+from xxchain.sector_oracle import (
+    TwoQubitState,
+    _receiver_layout,
+    _receiver_matrix,
+    evolve,
+    state_fidelity,
+)
 from xxchain.spectral import diagonalize
 
 
@@ -74,6 +81,19 @@ GEOMETRIES = [
     ),
     pytest.param(ChainSpec(N=7, h=3.0), "21", id="order21"),
 ]
+
+
+def oracle_kraus(spec, order, t):
+    """The dense sector oracle's Kraus operators K_c at time t, one per
+    channel configuration c: column i of K_c is the receiver vector of c
+    for the input basis state |i>."""
+    return np.stack(
+        [
+            _receiver_matrix(spec, evolve(spec, TwoQubitState.from_vector(e), t), order)
+            for e in np.eye(4)
+        ],
+        axis=2,
+    )
 
 
 class TestExactAverage:
@@ -118,13 +138,7 @@ class TestExactAverage:
         # column i of the Kraus operator K_c is the receiver vector of
         # channel configuration c for the input basis state |i>
         t = 2.3
-        columns = [
-            _receiver_vectors(spec, evolve(spec, TwoQubitState.from_vector(e), t), order)
-            for e in np.eye(4)
-        ]
-        configs = set().union(*columns)
-        zero = np.zeros(4)
-        traces = [sum(columns[i].get(c, zero)[i] for i in range(4)) for c in configs]
+        traces = np.trace(oracle_kraus(spec, order, t), axis1=1, axis2=2)
         F_e = sum(abs(tr) ** 2 for tr in traces) / 16.0
         bd = average_fidelity_exact(spec, t, receiver_order=order)
         assert abs(bd.value - (4.0 * F_e + 1.0) / 5.0) < 1e-12
@@ -144,15 +158,8 @@ class TestExactAverage:
         # reaches the receivers only through the four entries k_c, whose
         # Gram sum is M, and a pair leak c = (n, m) only through the
         # vacuum-from-pair entry, whose squared sum is pair_leak
-        columns = [
-            _receiver_vectors(spec, evolve(spec, TwoQubitState.from_vector(e), t), order)
-            for e in np.eye(4)
-        ]
-        zero = np.zeros(4)
-        kraus = {
-            c: np.column_stack([col.get(c, zero) for col in columns])
-            for c in set().union(*columns)
-        }
+        configs = _receiver_layout(spec.N, *_receiver_sites(spec, order))[2]
+        kraus = dict(zip(configs, oracle_kraus(spec, order, t)))
         E0, K = _channel_data(spec, t, receiver_order=order)
         assert np.abs(E0 - kraus.pop(())).max() < 1e-12
         single = ([0, 0, 1, 2], [1, 2, 3, 3])

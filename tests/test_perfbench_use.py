@@ -3,8 +3,8 @@
 perfbench/ runs its workloads against the sources in src/, and its own tests
 take half a minute.  These catch a change in src/ that would break it:
 every name perfbench imports from xxchain resolves, and a t* sweep op, a
-Monte-Carlo op and the worst-case op of fidelity_eval and a `verify` op of
-cli_session each pass the workload's own run and check.
+Monte-Carlo op and the worst-case op of fidelity_eval and the `verify` and
+`amplitudes` ops of cli_session each pass the workload's own run and check.
 """
 
 import ast
@@ -76,3 +76,18 @@ def test_verify_op_passes_the_benchmark_check(monkeypatch, tmp_path):
     result = wl.run(op, tracing.NoTrace())
     assert result["exit_code"] == 0, result["log"]
     assert wl.check(op, result) is None
+
+
+def test_amplitudes_op_passes_the_benchmark_check(monkeypatch, tmp_path):
+    # the op that sets cli_session's tail: 2000 rows at N = 46
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    wl = workloads.CliSession(1, {}, str(tmp_path))
+    op = wl._op("amplitudes")
+    result = wl.run(op, tracing.NoTrace())
+    assert result["exit_code"] == 0, result["log"]
+    assert wl.check(op, result) is None
+    with open(result["output"]) as fh:
+        assert sum(1 for line in fh if not line.startswith("#")) == 1 + 2000

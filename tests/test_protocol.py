@@ -16,13 +16,14 @@ from xxchain.fidelity import (
 )
 from xxchain.perturbation import rabi_frequencies, transfer_time_estimate
 from xxchain.protocol import (
+    TransferTimeResult,
     _refine,
     _scan,
     find_transfer_time,
     re_f_truncated,
     scan,
 )
-from xxchain.spectral import diagonalize, edge_modes, localized_indices
+from xxchain.spectral import classify_chain, diagonalize, edge_modes, localized_indices
 
 
 def exact_re_f(spec, sd, ts):
@@ -221,6 +222,42 @@ class TestPrunedScan:
         assert 1 <= res.grid_points_exact <= 0.05 * res.grid_points
 
 
+class TestBarrierChainOnly:
+    """The t* search reads its window from the barrier chain's levels, so it
+    refuses any other chain instead of answering from a window that may
+    miss the transfer."""
+
+    @staticmethod
+    def weak_end_bonds():
+        # J = 0.05 on bonds 2 and 28, h = 0: the search's window ends at
+        # t = 34, where Fbar is 0.29, while the transfer peaks near t = 133
+        couplings = [1.0] * 29
+        couplings[1] = couplings[27] = 0.05
+        return ChainSpec(N=30, h=0.0, couplings=tuple(couplings))
+
+    def test_weak_end_bonds_refused(self):
+        spec = self.weak_end_bonds()
+        ts = np.arange(0.0, 400.0, 0.05)
+        F = reference_fbar(spec)(ts)
+        assert F.max() > 0.99 and 130.0 < ts[np.argmax(F)] < 137.0
+        with pytest.raises(ValueError, match="barrier chain's couplings"):
+            find_transfer_time(spec)
+        (rec,) = scan(spec, "h", [0.0])
+        assert "barrier chain's couplings" in rec.error and np.isnan(rec.t_star)
+
+    def test_custom_fields_refused(self):
+        fields = [0.0] * 30
+        fields[2] = fields[27] = 60.0
+        fields[14] = 1.0
+        with pytest.raises(ValueError, match="barrier chain's fields"):
+            find_transfer_time(ChainSpec(N=30, h=60.0, fields=tuple(fields)))
+
+    def test_barrier_values_given_explicitly_pass(self):
+        spec = ChainSpec(N=30, h=60.0)
+        explicit = ChainSpec(N=30, h=60.0, couplings=(1,) * 29, fields=spec.fields)
+        assert repr(find_transfer_time(explicit)) == repr(find_transfer_time(spec))
+
+
 def hill_climb_peak(spec, t0, lo, hi, n=4001):
     """(t, Fbar) where hill-climbing from t0 stops on an n-point grid over [lo, hi].
 
@@ -366,6 +403,15 @@ class TestTransferRecord:
             assert np.isnan(res.t1_estimate)
 
 
+def transfer_time_row(spec):
+    """find_transfer_time(spec), or the error record scan keeps for it."""
+    try:
+        return find_transfer_time(spec)
+    except ValueError as exc:
+        return TransferTimeResult(N=spec.N, h=spec.h, regime=classify_chain(spec.N),
+                                  error=str(exc))
+
+
 class TestScanGeometry:
     # a record holds nan where it has no value, so compare reprs
     @pytest.mark.parametrize(
@@ -378,11 +424,15 @@ class TestScanGeometry:
         ids=["sites", "couplings", "barriers"],
     )
     def test_h_axis_keeps_the_chain(self, base):
+        # the custom couplings stay at every point, where the search
+        # refuses them: each point is an error row
         rec = scan(base, "h", [60.0, 80.0])
-        assert repr(rec[0]) == repr(find_transfer_time(base))
+        assert repr(rec[0]) == repr(transfer_time_row(base))
         moved = ChainSpec(N=30, h=80.0, couplings=base.couplings, senders=base.senders,
                           receivers=base.receivers, barriers=base.barriers)
-        assert repr(rec[1]) == repr(find_transfer_time(moved))
+        assert repr(rec[1]) == repr(transfer_time_row(moved))
+        custom = base.couplings != (1.0,) * 29
+        assert [r.error != "" for r in rec] == [custom, custom]
 
     def test_zero_field_point_is_a_row(self):
         (rec,) = scan(ChainSpec(N=30, h=60.0), "h", [0.0])
@@ -393,7 +443,7 @@ class TestScanGeometry:
         def fields(*sites):
             return [60.0 if n in sites else 0.0 for n in range(1, 31)]
 
-        with pytest.raises(ValueError, match="fields"):
+        with pytest.raises(ValueError, match="barrier chain's fields"):
             scan(ChainSpec(N=30, h=60.0, fields=fields(3, 27)), "h", [60.0])
         # fields equal to the barrier profile are not custom
         (rec,) = scan(ChainSpec(N=30, h=60.0, fields=fields(3, 28)), "h", [60.0])

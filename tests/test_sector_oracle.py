@@ -32,6 +32,13 @@ class TestBasis:
         assert basis.pair_index[(2, 4)] == 4
         assert basis.dim2 == 6
 
+    def test_built_once_per_length(self):
+        # evolve and build_sector_hamiltonians read them on every call
+        assert SectorBasis(9).pairs is SectorBasis(9).pairs
+        assert SectorBasis(9).pair_index is SectorBasis(9).pair_index
+        with pytest.raises(TypeError):
+            SectorBasis(9).pair_index[(1, 2)] = 5
+
     def test_state_normalization_check(self):
         with pytest.raises(ValueError):
             TwoQubitState(alpha=1.0, beta=1.0, gamma=0.0, delta=0.0)
@@ -150,6 +157,61 @@ class TestReducedState:
         assert abs(rho12[2, 2] - rho21[1, 1]) < 1e-12
         with pytest.raises(ValueError):
             reduced_receiver_state(spec, es, "badorder")
+
+
+def receiver_vectors(spec, es, order):
+    """The receiver 4-vector of each configuration of the other sites,
+    grouped one amplitude at a time in a dict, in order of first use."""
+    r1, r2 = spec.receivers if order == "12" else spec.receivers[::-1]
+    vecs = {}
+
+    def add(config, slot, amp):
+        vecs.setdefault(config, np.zeros(4, dtype=complex))[slot] += amp
+
+    add((), 0, es.c0)
+    for n in range(1, spec.N + 1):
+        slot = {r1: 2, r2: 1}.get(n)
+        if slot is None:
+            add((n,), 0, es.c1[n - 1])
+        else:
+            add((), slot, es.c1[n - 1])
+    for (n, m), amp in zip(SectorBasis(spec.N).pairs, es.c2):
+        if {n, m} == {r1, r2}:
+            add((), 3, amp)
+        elif r1 in (n, m):
+            add((m if n == r1 else n,), 2, amp)
+        elif r2 in (n, m):
+            add((m if n == r2 else n,), 1, amp)
+        else:
+            add((n, m), 0, amp)
+    return vecs
+
+
+class TestAgainstOuterProductLoop:
+    """reduced_receiver_state and state_fidelity against the sum over the
+    configurations of the other sites, one outer product at a time."""
+
+    GEOMETRIES = [
+        ChainSpec(N=8, h=3.0),
+        ChainSpec(N=12, h=20.0),
+        ChainSpec(N=10, h=5.0, senders=(4, 5), receivers=(2, 8)),
+        ChainSpec(N=9, h=4.0, senders=(3, 7), receivers=(1, 5), barriers=(2, 8)),
+    ]
+
+    @pytest.mark.parametrize("spec", GEOMETRIES, ids=["N8", "N12", "N10-s45-r28", "N9-s37-r15"])
+    @pytest.mark.parametrize("order", ["12", "21"])
+    def test_same_bits_and_fidelity(self, spec, order):
+        rng = np.random.default_rng(spec.N)
+        for t in (0.0, 1.7, 23.4, 1e4):
+            state = TwoQubitState.from_vector(rng.normal(size=4) + 1j * rng.normal(size=4))
+            es = evolve(spec, state, t)
+            vecs = receiver_vectors(spec, es, order)
+            rho = np.zeros((4, 4), dtype=complex)
+            for v in vecs.values():
+                rho += np.outer(v, v.conj())
+            assert reduced_receiver_state(spec, es, order).tobytes() == rho.tobytes()
+            F = sum(abs(np.vdot(state.vector, v)) ** 2 for v in vecs.values())
+            assert abs(state_fidelity(spec, state, t, order) - F) <= 1e-15
 
 
 class TestStateFidelity:
