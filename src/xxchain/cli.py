@@ -33,6 +33,7 @@ from .amplitudes import channel_occupation, propagator, propagator_rows
 from .chain import ChainSpec, _check_in_chain, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
+    _design_average,
     _evaluator_weights,
     _fidelity_at,
     average_fidelity_approx,
@@ -283,9 +284,14 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
 # N = 46 on one core of a 2-core x86 VM, a first amplitudes call in a
 # process raised its peak RSS by 0.2 MB with 2^13 entries and by 9.7 MB with
 # 2^18 (one chunk), and a whole call took 27-28 ms against 35-38 ms (median
-# of 15).  For 300 steps at N = 1000, 2^13 took 228-246 ms against
-# 154-162 ms, at +20.5 against +28.7 MB, the eigenvectors included.
+# of 15).  A chunk holds at least _MIN_TIMES_PER_CHUNK time points, since
+# at large N 2^13 entries leave too few: over 300 steps at N = 1000,
+# propagator_rows alone took 96-115 ms with 4 points per chunk against
+# 57-62 ms with 32 and 54-56 ms with 64, and over 500 steps at N = 400
+# 33-34 ms with 4 against 21-26 ms with 32 (median of 7-15, one thread).
+# 32 points at N = 1000 hold 1 MB, an eighth of the eigenvectors.
 _ROWS_PER_CHUNK = 1 << 13
+_MIN_TIMES_PER_CHUNK = 32
 
 
 def _time_grid(args):
@@ -361,7 +367,7 @@ def _cmd_amplitudes(args, spec):
     # is entry m of row n, and g_{nm}^{rs} the determinant of rows n, m
     sources = sorted({s1, s2, *(e[0] for e in f_entries), *(n for e in g_entries for n in e[:2])})
     at = {site: i for i, site in enumerate(sources)}
-    chunk = max(1, _ROWS_PER_CHUNK // (len(sources) * spec.N))
+    chunk = max(_MIN_TIMES_PER_CHUNK, _ROWS_PER_CHUNK // (len(sources) * spec.N))
     table = np.empty((len(ts), len(columns)))
     for lo in range(0, len(ts), chunk):
         tc = ts[lo : lo + chunk]
@@ -528,14 +534,13 @@ def _cmd_verify(args, spec):
         worst = max(worst, max(0.0, -float(np.min(np.linalg.eigvalsh(rho)))))
     checks.append(("reduced_state_properties", worst, 1e-10))
 
-    # closed-form average fidelity vs Monte-Carlo Haar sampling, the three
-    # times from one seeded sample
-    worst = 0.0
-    means, errs = haar_average_mc(spec, times[:3], 20000, args.seed, sd)
-    for t, mean, err in zip(times[:3].tolist(), means.tolist(), errs.tolist()):
-        bd = average_fidelity_exact(spec, t, sd)
-        worst = max(worst, abs(mean - bd.value) / max(err, 1e-300) / 3.0)
-    checks.append(("fidelity_vs_mc_3sigma", worst, 1.0))
+    # closed-form average fidelity vs the state-fidelity kernel's exact mean
+    # over a 2-design, at three of the times
+    worst = max(
+        abs(_design_average(spec, t, sd) - average_fidelity_exact(spec, t, sd).value)
+        for t in times[:3].tolist()
+    )
+    checks.append(("fidelity_vs_design", worst, 1e-12))
 
     columns = ["check", "worst_residual", "tolerance", "status"]
     rows = []

@@ -38,10 +38,17 @@ Gaussian draws, without a complex or normalized copy, and draws them once
 for all the times it is asked for.  The worst case's search reads the same
 12 forms as quadrics u^T Q_c u of the unit vector u = (Re z, Im z), whose
 exact gradient and Hessian drive a Newton iteration on the sphere, all
-starts in one batch and no optimizer library involved.  Every formula here
-is cross-validated against brute-force sector evolution, Nielsen's relation
-to the entanglement fidelity and Monte-Carlo Haar sampling in the test
-suite.
+starts in one batch and no optimizer library involved.
+
+The state fidelity has degree (2, 2) in z and conj(z), so its mean over
+any complex projective 2-design is its Haar average, exactly.  The 20
+states of the five mutually unbiased bases of two qubits form one;
+_design_average takes the kernel's mean over them, which equals the closed
+form to rounding (about 2e-16), and `xxchain verify` checks the kernel
+against the closed form that way, with no sampling error.  Every formula
+here is cross-validated against brute-force sector evolution, Nielsen's
+relation to the entanglement fidelity and Monte-Carlo Haar sampling in
+the test suite.
 """
 
 from __future__ import annotations
@@ -558,6 +565,47 @@ def _quartic(W: np.ndarray, m: np.ndarray):
     out = W.T @ m
     nrm2 = m[:8].sum(axis=0)
     return (out * out).sum(axis=0) / (nrm2 * nrm2)
+
+
+def _pauli(word: str) -> np.ndarray:
+    """The two-qubit Pauli operator of a word such as "XY"."""
+    one = {
+        "I": np.eye(2),
+        "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "Y": np.array([[0.0, -1j], [1j, 0.0]]),
+        "Z": np.diag([1.0, -1.0]),
+    }
+    return np.kron(one[word[0]], one[word[1]])
+
+
+# A complex projective 2-design on two qubits: the 20 states of the five
+# mutually unbiased bases, the joint eigenbases of the commuting Pauli pairs
+# below, one state per column.  Each basis is that of eigh(A + 2B), whose
+# eigenvalues -3, -1, 1 and 3 are distinct.  States of different bases
+# overlap by |<a|b>|^2 = 1/4, and the mean of any polynomial of degree
+# (2, 2) in z and conj(z) over the 20 is its Haar average.
+_DESIGN_STATES = np.hstack(
+    [
+        np.linalg.eigh(_pauli(a) + 2.0 * _pauli(b))[1]
+        for a, b in (("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XY", "YZ"), ("XZ", "YX"))
+    ]
+)
+# Their monomials, shape (32, 20), for _quartic
+_DESIGN_MONOMIALS = _monomials(np.vstack([_DESIGN_STATES.real, _DESIGN_STATES.imag]))
+
+
+def _design_average(
+    spec: ChainSpec, t: float, sd: SpectralData, receiver_order: str = "12"
+) -> float:
+    """The mean state fidelity at time t over the 20 states of _DESIGN_STATES.
+
+    The state fidelity has degree (2, 2) in z and conj(z), so this mean is
+    the Haar average exactly, with no sampling error: it reaches
+    average_fidelity_exact's value through _state_forms and _quartic, the
+    kernel of haar_average_mc, to rounding.
+    """
+    W = _state_forms(*_channel_data(spec, t, sd, receiver_order))
+    return float(_quartic(W, _DESIGN_MONOMIALS).mean())
 
 
 # Samples per _quartic call when a Haar sample is evaluated.  The

@@ -78,6 +78,33 @@ class TestExitCodes:
         manifest = strict_json(outdir / "verify.csv.manifest.json")
         assert manifest["diagnostics"] == {"seed": 1, "failed": failing}
 
+    def test_verify_design_row_catches_a_form_moved_by_1e_9(self, outdir, monkeypatch):
+        # W[0, 0] moved by 1e-9 moves the design mean by about 2e-10 at
+        # (12, 20): far above the row's 1e-12, far below the 3-sigma of the
+        # 20 000-sample Monte-Carlo row it replaced (about 4e-3)
+        real = fidelity_module._state_forms
+
+        def skewed(E0, K):
+            W = real(E0, K)
+            W[0, 0] += 1e-9
+            return W
+
+        monkeypatch.setattr(fidelity_module, "_state_forms", skewed)
+        assert run(["verify", "--N", "12", "--h", "20", "--seed", "1"]) == 2
+        _, header, rows = read_csv(outdir / "verify.csv")
+        status = {row[0]: row[header.index("status")] for row in rows}
+        assert [name for name, s in status.items() if s == "FAIL"] == ["fidelity_vs_design"]
+        assert len(status) == 5
+        manifest = strict_json(outdir / "verify.csv.manifest.json")
+        assert manifest["diagnostics"] == {"seed": 1, "failed": ["fidelity_vs_design"]}
+
+    def test_verify_passes_on_every_seed(self, outdir):
+        # no row is statistical: a correct program passes on every seed
+        for seed in range(40):
+            N, h = 6 + seed % 11, 1.0 + 7.0 * (seed % 13)
+            argv = ["verify", "--N", str(N), "--h", str(h), "--seed", str(seed)]
+            assert run(argv) == 0, argv
+
     def test_verify_records_its_default_seed(self, outdir):
         assert run(["verify", "--N", "8", "--h", "5"]) == 0
         manifest = strict_json(outdir / "verify.csv.manifest.json")
@@ -376,6 +403,7 @@ class TestOutputs:
     def test_amplitudes_match_full_propagator(self, outdir, monkeypatch):
         # a few time points per chunk, so the grid spans several chunks
         monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", 3 * 3 * 10)
+        monkeypatch.setattr(cli_module, "_MIN_TIMES_PER_CHUNK", 1)
         argv = ["amplitudes", "--N", "10", "--h", "4", "--f", "3,9", "--f", "10,1",
                 "--g", "1,2,9,10", "--g", "2,5,3,7", "--t0", "0", "--t1", "30",
                 "--steps", "11"]
@@ -395,6 +423,27 @@ class TestOutputs:
                 assert abs(complex(values["re_" + name], values["im_" + name]) - z) < 1e-10
             occupation = sum(abs(amp.entry(s, n)) ** 2 for s in (1, 2) for n in cols)
             assert abs(values["channel_occupation"] - occupation) < 1e-10
+
+    def test_amplitudes_chunk_floor_keeps_the_bytes(self, outdir, monkeypatch):
+        # at N = 400, 2^13 entries would give 10 time points per chunk; the
+        # floor makes it 32, so 100 steps take 4 chunks, and the file is
+        # byte-identical to one written from a single chunk
+        calls = []
+        real = cli_module.propagator_rows
+
+        def counted(sd, sources, times):
+            calls.append(len(times))
+            return real(sd, sources, times)
+
+        monkeypatch.setattr(cli_module, "propagator_rows", counted)
+        argv = ["amplitudes", "--N", "400", "--h", "100", "--t0", "0", "--t1", "20000",
+                "--steps", "100"]
+        assert run(argv + ["-o", "chunked.csv"]) == 0
+        assert calls == [32, 32, 32, 4]
+        monkeypatch.setattr(cli_module, "_ROWS_PER_CHUNK", 1 << 30)
+        assert run(argv + ["-o", "whole.csv"]) == 0
+        assert calls[4:] == [100]
+        assert (outdir / "chunked.csv").read_bytes() == (outdir / "whole.csv").read_bytes()
 
     def test_amplitudes_json_rows_are_the_csv_values(self, outdir, monkeypatch):
         # several chunks, and more rows than two writer blocks

@@ -9,6 +9,8 @@ import xxchain.fidelity as fidelity_module
 from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
+    _DESIGN_MONOMIALS,
+    _DESIGN_STATES,
     _MC_BLOCK,
     _MC_TIMES,
     _SCREEN_MODES,
@@ -17,6 +19,7 @@ from xxchain.fidelity import (
     WorstCaseBudgetWarning,
     _channel_data,
     _coherent_terms,
+    _design_average,
     _evaluator_weights,
     _fidelities_in_blocks,
     _fidelity_at,
@@ -626,6 +629,34 @@ class TestMonteCarlo:
         mean, _ = haar_average_mc(spec, 0.0, 2000, seed=3)
         vacuum = state_fidelity(spec, TwoQubitState(1, 0, 0, 0), 0.0)
         assert vacuum > mean
+
+
+class TestDesign:
+    def test_states_are_five_mutually_unbiased_bases(self):
+        # unit vectors; |<a|b>|^2 is 0 within a basis and 1/4 across bases
+        S = _DESIGN_STATES
+        assert S.shape == (4, 20)
+        basis = np.arange(20) // 4
+        expect = np.where(basis[:, None] == basis[None, :], np.eye(20), 0.25)
+        assert np.abs(np.abs(S.conj().T @ S) ** 2 - expect).max() < 1e-14
+
+    def test_states_form_a_2_design(self):
+        # the mean of (|psi><psi|)^(x2) is the Haar value (I + SWAP) / 20
+        P = np.einsum("ak,bk->kab", _DESIGN_STATES, _DESIGN_STATES.conj())
+        mean = np.einsum("kab,kcd->acbd", P, P).reshape(16, 16) / 20
+        swap = np.eye(16).reshape(4, 4, 4, 4).transpose(0, 1, 3, 2).reshape(16, 16)
+        assert np.abs(mean - (np.eye(16) + swap) / 20).max() < 1e-15
+
+    def test_monomials_are_the_states(self):
+        S = _DESIGN_STATES
+        assert np.array_equal(_DESIGN_MONOMIALS, _monomials(np.vstack([S.real, S.imag])))
+
+    @pytest.mark.parametrize("spec, order", GEOMETRIES)
+    def test_mean_is_the_exact_average(self, spec, order):
+        sd = diagonalize(build_single_particle(spec))
+        for t in (0.0, 0.9, 2.3, 7.75, 31.4):
+            exact = average_fidelity_exact(spec, t, sd, order).value
+            assert abs(_design_average(spec, t, sd, order) - exact) < 1e-12
 
 
 class TestWorstCase:
