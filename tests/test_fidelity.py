@@ -640,6 +640,23 @@ class TestDesign:
         expect = np.where(basis[:, None] == basis[None, :], np.eye(20), 0.25)
         assert np.abs(np.abs(S.conj().T @ S) ** 2 - expect).max() < 1e-14
 
+    def test_bases_are_the_joint_eigenbases_of_the_pauli_pairs(self):
+        one = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+               "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+        pairs = [("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XY", "YZ"), ("XZ", "YX")]
+        for k, words in enumerate(pairs):
+            signs = set()
+            for psi in _DESIGN_STATES[:, 4 * k : 4 * k + 4].T:
+                sign = []
+                for word in words:
+                    P = np.kron(one[word[0]], one[word[1]])
+                    s = np.vdot(psi, P @ psi).real
+                    assert abs(abs(s) - 1.0) < 1e-15
+                    assert np.abs(P @ psi - s * psi).max() < 1e-15
+                    sign.append(round(s))
+                signs.add(tuple(sign))
+            assert len(signs) == 4
+
     def test_states_form_a_2_design(self):
         # the mean of (|psi><psi|)^(x2) is the Haar value (I + SWAP) / 20
         P = np.einsum("ak,bk->kab", _DESIGN_STATES, _DESIGN_STATES.conj())
