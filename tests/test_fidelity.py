@@ -9,7 +9,6 @@ import xxchain.fidelity as fidelity_module
 from conftest import random_grid_chain
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.fidelity import (
-    _DESIGN_MONOMIALS,
     _DESIGN_STATES,
     _MC_BLOCK,
     _MC_TIMES,
@@ -663,10 +662,6 @@ class TestDesign:
         mean = np.einsum("kab,kcd->acbd", P, P).reshape(16, 16) / 20
         swap = np.eye(16).reshape(4, 4, 4, 4).transpose(0, 1, 3, 2).reshape(16, 16)
         assert np.abs(mean - (np.eye(16) + swap) / 20).max() < 1e-15
-
-    def test_monomials_are_the_states(self):
-        S = _DESIGN_STATES
-        assert np.array_equal(_DESIGN_MONOMIALS, _monomials(np.vstack([S.real, S.imag])))
 
     @pytest.mark.parametrize("spec, order", GEOMETRIES)
     def test_mean_is_the_exact_average(self, spec, order):
