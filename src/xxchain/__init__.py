@@ -8,7 +8,7 @@ brute-force sector oracle cross-validating every fast-path quantity.
 
 __version__ = "0.1.0"
 
-from .chain import ChainSpec, SymTridiag, build_single_particle
+from .chain import ChainSpec, SymTridiag, TwoQubitState, build_single_particle
 from .spectral import (
     SpectralData,
     classify_chain,
@@ -26,11 +26,11 @@ from .amplitudes import (
 from .sector_oracle import (
     EvolvedState,
     SectorBasis,
-    TwoQubitState,
     build_sector_hamiltonians,
     evolve,
     reduced_receiver_state,
     state_fidelity,
+    verify,
 )
 from .fidelity import (
     FidelityBreakdown,

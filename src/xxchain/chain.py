@@ -14,6 +14,7 @@ unit of energy and inverse time.
 Two strong "barrier" fields, default at sites 3 and N-2, energetically
 decouple the sender block (1, 2) and receiver block (N-1, N) from the
 interior channel.  Sites are 1-based at every public interface.
+TwoQubitState, the sender pair's input, is shared by fast path and oracle.
 """
 
 from __future__ import annotations
@@ -180,3 +181,37 @@ def build_single_particle(spec: ChainSpec) -> SymTridiag:
     diag = tuple(2.0 * hl for hl in spec.fields)
     off = tuple(-2.0 * jl for jl in spec.couplings)
     return SymTridiag(diagonal=diag, off_diagonal=off)
+
+
+@dataclass(frozen=True)
+class TwoQubitState:
+    """Normalized two-qubit pure state alpha|00> + beta|01> + gamma|10> + delta|11>.
+
+    |1> means a flipped spin (one excitation); the second slot refers to the
+    second site of the pair.
+    """
+
+    alpha: complex
+    beta: complex
+    gamma: complex
+    delta: complex
+
+    def __post_init__(self):
+        norm2 = (
+            abs(self.alpha) ** 2
+            + abs(self.beta) ** 2
+            + abs(self.gamma) ** 2
+            + abs(self.delta) ** 2
+        )
+        if abs(norm2 - 1.0) > 1e-12:
+            raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
+
+    @property
+    def vector(self) -> np.ndarray:
+        return np.array([self.alpha, self.beta, self.gamma, self.delta], dtype=complex)
+
+    @classmethod
+    def from_vector(cls, v) -> "TwoQubitState":
+        v = np.asarray(v, dtype=complex)
+        v = v / np.linalg.norm(v)
+        return cls(alpha=v[0], beta=v[1], gamma=v[2], delta=v[3])

@@ -29,16 +29,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .amplitudes import channel_occupation, propagator, propagator_rows
+from .amplitudes import channel_occupation, propagator_rows
 from .chain import ChainSpec, _check_in_chain, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
-    _design_average,
-    _evaluator_weights,
-    _fidelity_at,
     average_fidelity_approx,
     average_fidelity_exact,
-    edge_products,
     haar_average_mc,
     worst_case_fidelity,
 )
@@ -48,7 +44,7 @@ from .perturbation import (
     transfer_time_estimate,
 )
 from .protocol import _SEARCH_WORK, find_transfer_time, scan as run_scan
-from .sector_oracle import TwoQubitState, _sector_eig, evolve, reduced_receiver_state
+from .sector_oracle import verify
 from .spectral import (
     classify_chain,
     diagonalize,
@@ -397,8 +393,8 @@ def _cmd_fidelity(args, spec):
         ts = np.array([find_transfer_time(spec, sd).t_star])
     else:
         ts = _time_grid(args)
-    # F_approx reads the spec's receiver order, whatever --receiver-order
-    weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
+    # F_approx keeps the spec's receivers: under "21" its f11, f12, f21 are named f12, f11, f22
+    approx = ("f11", "f12", "f21") if args.receiver_order == "12" else ("f12", "f11", "f22")
     columns = ["t", "F_exact", "F_approx", "F_mc_mean", "F_mc_stderr", "F_min"]
     rows = []
     certified = []
@@ -410,8 +406,7 @@ def _cmd_fidelity(args, spec):
         )
     for t, mc_mean, mc_err in zip(ts.tolist(), mc_means.tolist(), mc_errs.tolist()):
         bd = average_fidelity_exact(spec, t, sd, args.receiver_order)
-        f11, f12, f21, _ = _fidelity_at(sd.eigenvalues, weights, t)[3]
-        fa = average_fidelity_approx(f11, f12, f21)
+        fa = average_fidelity_approx(*(bd.amplitudes[name] for name in approx))
         fmin = float("nan")
         if args.worst_case:
             # the manifest records the status; the warnings are re-issued
@@ -488,65 +483,11 @@ def _cmd_scan(args, spec):
 
 
 def _cmd_verify(args, spec):
-    rng = np.random.default_rng(args.seed)
-    N = spec.N
-    if N > 16:
-        raise CliError(f"verify caps N at 16 (two-excitation oracle cost), got {N}")
-    sd = diagonalize(build_single_particle(spec))
-    # the dense sector eigensolutions, shared with evolve below
-    (w1, v1), (w2, v2) = _sector_eig(spec)
-    # the two-excitation basis |n, m>, n < m, in SectorBasis.pairs' order
-    # (0-based sites), and the position of the sender pair in it
-    n, m = np.triu_indices(N, 1)
-    s1, s2 = (s - 1 for s in spec.senders)
-    src = np.flatnonzero((n == s1) & (m == s2))[0]
-    checks = []
-
-    times = rng.uniform(0.0, 30.0, size=10)
-
-    # one-excitation propagator and two-excitation determinant (all ordered
-    # pairs) vs dense sector evolution, from one propagator per time
-    worst1 = worst2 = 0.0
-    for t in times:
-        f = propagator(sd, t).f
-        U = (v1 * np.exp(-1j * w1 * t)) @ v1.conj().T
-        worst1 = max(worst1, float(np.max(np.abs(U - f))))
-        g = f[s1, n] * f[s2, m] - f[s1, m] * f[s2, n]
-        column = v2 @ (np.exp(-1j * w2 * t) * v2[src].conj())
-        worst2 = max(worst2, float(np.max(np.abs(g - column))))
-    checks.append(("propagator_vs_dense", worst1, 1e-10))
-    checks.append(("two_particle_vs_dense", worst2, 1e-10))
-
-    # free-fermion pairing of the two-excitation spectrum
-    eps = sd.eigenvalues
-    sums = np.sort(eps[n] + eps[m])
-    checks.append(("h2_pairwise_sums", float(np.max(np.abs(np.sort(w2) - sums))), 1e-9))
-
-    # reduced receiver state: trace, hermiticity, positivity
-    worst = 0.0
-    for _ in range(5):
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = TwoQubitState.from_vector(z)
-        es = evolve(spec, state, float(rng.uniform(0, 30)))
-        rho = reduced_receiver_state(spec, es)
-        worst = max(worst, abs(np.trace(rho).real - 1.0))
-        worst = max(worst, float(np.max(np.abs(rho - rho.conj().T))))
-        worst = max(worst, max(0.0, -float(np.min(np.linalg.eigvalsh(rho)))))
-    checks.append(("reduced_state_properties", worst, 1e-10))
-
-    # closed-form average fidelity vs the state-fidelity kernel's exact mean
-    # over a 2-design, at three of the times
-    worst = max(
-        abs(_design_average(spec, t, sd) - average_fidelity_exact(spec, t, sd).value)
-        for t in times[:3].tolist()
-    )
-    checks.append(("fidelity_vs_design", worst, 1e-12))
-
     columns = ["check", "worst_residual", "tolerance", "status"]
     rows = []
-    for name, residual, tol in checks:
+    for name, residual, tol in verify(spec, args.seed):
         status = "PASS" if residual <= tol else "FAIL"
-        rows.append([name, float(residual), float(tol), status])
+        rows.append([name, residual, tol, status])
         print(f"{name}: worst residual {residual:.3e} (tol {tol:.0e}) {status}")
     failed = [row[0] for row in rows if row[-1] == "FAIL"]
     return columns, rows, {"seed": args.seed, "failed": failed}

@@ -44,11 +44,11 @@ The state fidelity has degree (2, 2) in z and conj(z), so its mean over
 any complex projective 2-design is its Haar average, exactly.  The 20
 states of the five mutually unbiased bases of two qubits form one;
 _design_average takes the kernel's mean over them, which equals the closed
-form to rounding (about 2e-16), and `xxchain verify` checks the kernel
-against the closed form that way, with no sampling error.  Every formula
-here is cross-validated against brute-force sector evolution, Nielsen's
-relation to the entanglement fidelity and Monte-Carlo Haar sampling in
-the test suite.
+form to rounding (about 2e-16), and sector_oracle.verify (`xxchain verify`)
+checks the kernel against the closed form that way, with no sampling
+error.  Every formula here is cross-validated against brute-force sector
+evolution, Nielsen's relation to the entanglement fidelity and
+Monte-Carlo Haar sampling in the test suite.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import _check_times, propagator_rows
-from .chain import ChainSpec, _receiver_sites, build_single_particle
-from .sector_oracle import TwoQubitState
+from .chain import ChainSpec, TwoQubitState, _receiver_sites, build_single_particle
 from .spectral import SpectralData, diagonalize
 
 

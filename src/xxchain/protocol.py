@@ -104,8 +104,10 @@ def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: flo
     (_fidelity_bound) reaches L, the exact fidelity at the bound's argmax,
     are evaluated on all modes, by _fidelity_at.  No other point can beat
     L, so the first of their maxima is the first maximum of _fidelity_at
-    over the whole grid.  weights comes from fidelity._evaluator_weights;
-    its first four columns are the edge products the screen reads.  Returns
+    over the whole grid, up to the ulp by which _fidelity_at's value at a
+    time moves with the batch of times it is evaluated in: points that close
+    may trade places.  weights comes from fidelity._evaluator_weights; its
+    first four columns are the edge products the screen reads.  Returns
     (time, fidelity, work) with work keyed by _SEARCH_WORK.
     """
     n = int(np.ceil((hi + step - lo) / step))

@@ -5,8 +5,9 @@ only ever populates the vacuum, one-excitation and two-excitation sectors.
 This module builds the sector Hamiltonians in the spin (position) basis,
 evolves by dense spectral decomposition, reduces to the receiver pair and
 evaluates state-specific transfer fidelity.  It is deliberately simple and
-serves as ground truth for the fast spectral path (the two-excitation
-sector has dimension N(N-1)/2, capping practical sizes around N ~ 120).
+serves as ground truth for the fast spectral path, which verify checks
+against it (the two-excitation sector has dimension N(N-1)/2, capping
+practical sizes around N ~ 120).
 
 The pair basis and the receiver layout, which places every amplitude in
 the receiver vector of its configuration of the other sites, are built
@@ -26,7 +27,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .chain import ChainSpec, _receiver_sites, build_single_particle
+from .amplitudes import propagator
+from .chain import ChainSpec, TwoQubitState, _receiver_sites, build_single_particle
+from .fidelity import _design_average, average_fidelity_exact
+from .spectral import diagonalize
 
 
 @lru_cache(maxsize=32)
@@ -58,40 +62,6 @@ class SectorBasis:
     @property
     def dim2(self) -> int:
         return self.N * (self.N - 1) // 2
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Normalized two-qubit pure state alpha|00> + beta|01> + gamma|10> + delta|11>.
-
-    |1> means a flipped spin (one excitation); the second slot refers to the
-    second site of the pair.
-    """
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self):
-        norm2 = (
-            abs(self.alpha) ** 2
-            + abs(self.beta) ** 2
-            + abs(self.gamma) ** 2
-            + abs(self.delta) ** 2
-        )
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma, self.delta], dtype=complex)
-
-    @classmethod
-    def from_vector(cls, v) -> "TwoQubitState":
-        v = np.asarray(v, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(alpha=v[0], beta=v[1], gamma=v[2], delta=v[3])
 
 
 @dataclass(frozen=True)
@@ -249,3 +219,55 @@ def state_fidelity(
     """Transfer fidelity <psi(0)| rho_R(t) |psi(0)> for one input state."""
     V = _receiver_matrix(spec, evolve(spec, state, t), receiver_order)
     return float(np.sum(np.abs(V @ state.vector.conj()) ** 2))
+
+
+def verify(spec: ChainSpec, seed: int) -> list[tuple[str, float, float]]:
+    """The fast path against the dense oracle: (name, worst residual, tolerance)
+    per check, which passes when the residual is at most the tolerance.  seed
+    draws the times and the input states; N > 16 is a ValueError.
+    """
+    N = spec.N
+    if N > 16:
+        raise ValueError(f"verify caps N at 16 (two-excitation oracle cost), got {N}")
+    rng = np.random.default_rng(seed)
+    sd = diagonalize(build_single_particle(spec))
+    (w1, v1), (w2, _) = _sector_eig(spec)
+    # the two-excitation basis |n, m>, n < m, as 0-based sites
+    n, m = (np.array(SectorBasis(N).pairs) - 1).T
+    s1, s2 = (s - 1 for s in spec.senders)
+    pair = TwoQubitState(0, 0, 0, 1)
+    times = rng.uniform(0.0, 30.0, size=10)
+
+    # one-excitation propagator and two-excitation determinant (all ordered
+    # pairs) vs dense sector evolution, from one propagator per time
+    worst1 = worst2 = 0.0
+    for t in times:
+        f = propagator(sd, t).f
+        U = (v1 * np.exp(-1j * w1 * t)) @ v1.conj().T
+        worst1 = max(worst1, float(np.max(np.abs(U - f))))
+        g = f[s1, n] * f[s2, m] - f[s1, m] * f[s2, n]
+        worst2 = max(worst2, float(np.max(np.abs(g - evolve(spec, pair, t).c2))))
+    checks = [("propagator_vs_dense", worst1, 1e-10), ("two_particle_vs_dense", worst2, 1e-10)]
+
+    # free-fermion pairing of the two-excitation spectrum
+    sums = np.sort(sd.eigenvalues[n] + sd.eigenvalues[m])
+    checks.append(("h2_pairwise_sums", float(np.max(np.abs(np.sort(w2) - sums))), 1e-9))
+
+    # reduced receiver state: trace, hermiticity, positivity
+    worst = 0.0
+    for _ in range(5):
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        es = evolve(spec, TwoQubitState.from_vector(z), float(rng.uniform(0, 30)))
+        rho = reduced_receiver_state(spec, es)
+        worst = max(worst, abs(np.trace(rho).real - 1.0),
+                    float(np.max(np.abs(rho - rho.conj().T))),
+                    max(0.0, -float(np.min(np.linalg.eigvalsh(rho)))))
+    checks.append(("reduced_state_properties", float(worst), 1e-10))
+
+    # closed-form average fidelity vs the state-fidelity kernel's exact mean
+    # over a 2-design, at three of the times
+    worst = max(
+        abs(_design_average(spec, t, sd) - average_fidelity_exact(spec, t, sd).value)
+        for t in times[:3].tolist()
+    )
+    return checks + [("fidelity_vs_design", worst, 1e-12)]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import platform
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy
 
 import xxchain.cli as cli_module
 import xxchain.fidelity as fidelity_module
+import xxchain.sector_oracle as oracle_module
 import xxchain.spectral as spectral_module
 from conftest import pair_amplitude
 from xxchain.amplitudes import propagator
@@ -19,6 +21,7 @@ from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
 from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact, haar_average_mc
 from xxchain.protocol import find_transfer_time
+from xxchain.sector_oracle import verify
 from xxchain.spectral import diagonalize
 
 
@@ -60,7 +63,7 @@ class TestExitCodes:
     def test_verify_failure_exits_2_and_names_the_checks(self, outdir, monkeypatch):
         # one entry of the first sender's propagator row moved by 1e-6: the
         # one- and two-excitation checks fail, the others do not read it
-        real = cli_module.propagator
+        real = oracle_module.propagator
 
         def skewed(sd, t):
             amp = real(sd, t)
@@ -68,7 +71,7 @@ class TestExitCodes:
             f[0, 0] += 1e-6
             return dataclasses.replace(amp, f=f)
 
-        monkeypatch.setattr(cli_module, "propagator", skewed)
+        monkeypatch.setattr(oracle_module, "propagator", skewed)
         assert run(["verify", "--N", "8", "--h", "5", "--seed", "1"]) == 2
         _, header, rows = read_csv(outdir / "verify.csv")
         status = {row[0]: row[header.index("status")] for row in rows}
@@ -104,6 +107,27 @@ class TestExitCodes:
             N, h = 6 + seed % 11, 1.0 + 7.0 * (seed % 13)
             argv = ["verify", "--N", str(N), "--h", str(h), "--seed", str(seed)]
             assert run(argv) == 0, argv
+
+    @pytest.mark.parametrize("N, h, seed", [(8, 5.0, 1), (12, 20.0, 1)])
+    def test_verify_writes_the_library_rows(self, N, h, seed, outdir, capsys):
+        argv = ["verify", "--N", str(N), "--h", str(h), "--seed", str(seed)]
+        assert run(argv + ["--format", "json"]) == 0
+        table = strict_json(outdir / "verify.json")
+        checks = verify(ChainSpec(N=N, h=h), seed)
+        assert table["rows"] == [[*check, "PASS"] for check in checks]
+        printed = capsys.readouterr().out.splitlines()[:-1]  # then "wrote ..."
+        assert [line.split(":")[0] for line in printed] == [name for name, _, _ in checks]
+        assert run(argv) == 0
+        _, _, rows = read_csv(outdir / "verify.csv")
+        assert rows == [[name, f"{r:.12g}", f"{tol:.12g}", "PASS"] for name, r, tol in checks]
+
+    def test_verify_caps_N_at_16(self, outdir, capsys):
+        message = "verify caps N at 16 (two-excitation oracle cost), got 17"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify(ChainSpec(N=17, h=20.0), 1)
+        assert run(["verify", "--N", "17", "--h", "20"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(outdir.iterdir())
 
     def test_verify_records_its_default_seed(self, outdir):
         assert run(["verify", "--N", "8", "--h", "5"]) == 0

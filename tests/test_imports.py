@@ -1,4 +1,4 @@
-"""No xxchain step imports scipy.optimize.
+"""No xxchain step imports scipy.optimize, and the fast path no oracle code.
 
 The t* refinement and the worst-case search both run Newton's method on
 exact derivatives, so no command needs an optimizer library; the README
@@ -6,6 +6,10 @@ gives the import cost this saves.  No import statement of the package
 names it, at module level or inside a function, and each command runs in
 a fresh interpreter, since this test session has imported scipy.optimize
 already.
+
+The dense sector oracle is the fast path's reference, so no fast-path
+module imports from it, and the CLI reads `verify`'s table from the oracle
+without reaching into the oracle's or the fidelity kernel's internals.
 """
 
 import ast
@@ -78,3 +82,41 @@ def test_no_module_imports_scipy_optimize():
             else:
                 continue
             assert not any(n.startswith("scipy.optimize") for n in names), (path.name, names)
+
+
+def imports(path):
+    """(module, name) of every import statement in the file, at any depth:
+    (module, None) for `import module`, and a relative module without its dots."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+FAST_PATH = ("chain", "spectral", "amplitudes", "perturbation", "fidelity", "protocol")
+
+
+def test_no_fast_path_module_imports_the_oracle():
+    package = Path(xxchain.__file__).resolve().parent
+    for name in FAST_PATH:
+        found = [
+            (module, alias)
+            for module, alias in imports(package / f"{name}.py")
+            if "sector_oracle" in (module or "").split(".") or alias == "sector_oracle"
+        ]
+        assert found == [], name
+
+
+# Oracle and fidelity-kernel internals the CLI has no use for: `verify`'s
+# checks are sector_oracle.verify, and `fidelity` reads F_approx's
+# amplitudes from the exact breakdown
+CLI_DROPPED = {
+    "_sector_eig", "evolve", "reduced_receiver_state", "TwoQubitState", "propagator",
+    "_design_average", "_evaluator_weights", "_fidelity_at", "edge_products",
+}
+
+
+def test_cli_imports_no_oracle_internals():
+    package = Path(xxchain.__file__).resolve().parent
+    assert {alias for _, alias in imports(package / "cli.py")} & CLI_DROPPED == set()
