@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .amplitudes import channel_occupation, propagator_rows
+from .amplitudes import channel_occupation, grid_phases, propagator_rows
 from .chain import ChainSpec, _check_in_chain, build_single_particle
 from .fidelity import (
     WorstCaseBudgetWarning,
@@ -276,16 +276,19 @@ def _write_result(args, spec, columns, rows, diagnostics, t0):
 
 # Complex entries of propagator_rows per chunk of the amplitudes time grid
 # (128 kB), so that memory stays bounded at large N and on long grids; each
-# chunk is written into the one float table of the call.  For 2000 steps at
-# N = 46 on one core of a 2-core x86 VM, a first amplitudes call in a
-# process raised its peak RSS by 0.2 MB with 2^13 entries and by 9.7 MB with
-# 2^18 (one chunk), and a whole call took 27-28 ms against 35-38 ms (median
-# of 15).  A chunk holds at least _MIN_TIMES_PER_CHUNK time points, since
-# at large N 2^13 entries leave too few: over 300 steps at N = 1000,
-# propagator_rows alone took 96-115 ms with 4 points per chunk against
-# 57-62 ms with 32 and 54-56 ms with 64, and over 500 steps at N = 400
-# 33-34 ms with 4 against 21-26 ms with 32 (median of 7-15, one thread).
-# 32 points at N = 1000 hold 1 MB, an eighth of the eigenvectors.
+# chunk is written into the one float table of the call.  Its phases are
+# products of entries of the call's one grid_phases table (about 2 sqrt(n)
+# rows of N phases, 66 kB for 2000 steps at N = 46), so the output does not
+# depend on the chunking.  For 2000 steps at N = 46 on one core of a 2-core
+# x86 VM, a first amplitudes call in a process raised its peak RSS by 0.2 MB
+# with 2^13 entries and by 9.7 MB with 2^18 (one chunk), and a whole call
+# took 27-28 ms against 35-38 ms (median of 15, when each time point took
+# its own exponentials).  A chunk holds at least _MIN_TIMES_PER_CHUNK time
+# points, since at large N 2^13 entries leave too few: over 300 steps at N =
+# 1000, propagator_rows alone took 96-115 ms with 4 points per chunk against
+# 57-62 ms with 32 and 54-56 ms with 64, and over 500 steps at N = 400 33-34
+# ms with 4 against 21-26 ms with 32 (median of 7-15, one thread).  32
+# points at N = 1000 hold 1 MB, an eighth of the eigenvectors.
 _ROWS_PER_CHUNK = 1 << 13
 _MIN_TIMES_PER_CHUNK = 32
 
@@ -363,11 +366,18 @@ def _cmd_amplitudes(args, spec):
     # is entry m of row n, and g_{nm}^{rs} the determinant of rows n, m
     sources = sorted({s1, s2, *(e[0] for e in f_entries), *(n for e in g_entries for n in e[:2])})
     at = {site: i for i, site in enumerate(sources)}
+    # the phases of the whole grid from one two-level table: ts is
+    # np.linspace's, ts[j] = t0 + j step up to rounding, so point j = b R + r
+    # has the phase start[b] * offset[r] (see grid_phases)
+    n = len(ts)
+    step = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+    offset, start = grid_phases(sd.eigenvalues, ts[0], step, n)
     chunk = max(_MIN_TIMES_PER_CHUNK, _ROWS_PER_CHUNK // (len(sources) * spec.N))
-    table = np.empty((len(ts), len(columns)))
-    for lo in range(0, len(ts), chunk):
+    table = np.empty((n, len(columns)))
+    for lo in range(0, n, chunk):
         tc = ts[lo : lo + chunk]
-        R = propagator_rows(sd, sources, tc)
+        b, r = np.divmod(np.arange(lo, lo + len(tc)), len(offset))
+        R = propagator_rows(sd, sources, start[b] * offset[r])
         out = table[lo : lo + chunk]
 
         def f(n, m):

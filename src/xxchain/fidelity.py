@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _check_times, propagator_rows
+from .amplitudes import _check_times, grid_phases, propagator_rows
 from .chain import ChainSpec, TwoQubitState, _receiver_sites, build_single_particle
 from .spectral import SpectralData, diagonalize
 
@@ -345,7 +345,9 @@ def _fidelity_bound(
     precision: the terms' phases at the block starts times a table of their
     weighted phases at _SCREEN_ROWS offsets, one product per _SCREEN_POINTS
     points with a single output.  Every phase argument is formed in double
-    precision, from one exponential per kept mode and time.  A screen that
+    precision, one exponential per kept mode and table time, by
+    amplitudes.grid_phases, the helper `xxchain amplitudes` builds its grid
+    phases with; the screen caps its rows at _SCREEN_ROWS.  A screen that
     would hold more than _SCREEN_BYTES raises ArithmeticError before it
     allocates its grid arrays.
     """
@@ -437,14 +439,11 @@ def _fidelity_bound(
             f"above its limit of {_SCREEN_BYTES}"
         )
     # the phases of every term at the table's offsets, times m, and at the
-    # block starts, from one exponential per mode and time
-    times = np.concatenate([np.arange(rows), np.arange(0, blocks * rows, rows)]) * step
-    times[rows:] += t0
-    phase = np.exp(np.multiply.outer(-1j * e, times))
-    phase = phase[k] * phase[l]
-    phase[:, :rows] *= m[:, None]
-    phase = phase.astype(np.complex64)
-    table, start = phase[:, :rows], phase[:, rows:].T
+    # block starts, from grid_phases' one exponential per mode and time
+    offset, start = grid_phases(e, t0, step, n, rows)
+    table = (offset[:, k] * offset[:, l] * m).astype(np.complex64).T
+    start = (start[:, k] * start[:, l]).astype(np.complex64)
+    del offset  # the modes' complex128 phases, before the products' arrays
     modulus = np.empty(blocks * rows, dtype=np.float32)
     for b in range(0, blocks, per_chunk):
         seg = modulus[b * rows : (b + per_chunk) * rows].reshape(-1, rows)

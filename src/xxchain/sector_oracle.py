@@ -131,16 +131,13 @@ def evolve(spec: ChainSpec, state: TwoQubitState, t: float) -> EvolvedState:
     |11> component evolves in the two-excitation sector from |s1, s2>.
     """
     (w1, v1), (w2, v2) = _sector_eig(spec)
-    N = spec.N
     s1, s2 = spec.senders
-    psi1 = np.zeros(N, dtype=complex)
-    psi1[s2 - 1] = state.beta
-    psi1[s1 - 1] = state.gamma
-    c1 = v1 @ (np.exp(-1j * w1 * t) * (v1.T @ psi1))
-    basis = SectorBasis(N)
-    psi2 = np.zeros(basis.dim2, dtype=complex)
-    psi2[basis.pair_index[(s1, s2)]] = state.delta
-    c2 = v2 @ (np.exp(-1j * w2 * t) * (v2.T @ psi2))
+    # the input's coefficients on the eigenstates: the sender rows of the
+    # eigenvector matrices times its amplitudes, with no product over the
+    # zero entries of a site-basis input vector
+    c1 = v1 @ (np.exp(-1j * w1 * t) * (state.gamma * v1[s1 - 1] + state.beta * v1[s2 - 1]))
+    pair = v2[SectorBasis(spec.N).pair_index[(s1, s2)]]
+    c2 = v2 @ (np.exp(-1j * w2 * t) * (state.delta * pair))
     return EvolvedState(c0=complex(state.alpha), c1=c1, c2=c2)
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import pair_amplitude
 from xxchain.amplitudes import (
     channel_occupation,
+    grid_phases,
     propagator,
     propagator_rows,
 )
@@ -145,6 +146,48 @@ class TestPropagator:
             amp.entry(site, 1)
         with pytest.raises(ValueError, match=f"site {site} outside chain"):
             amp.entry(1, site)
+
+
+class TestGridPhases:
+    # the grids of `xxchain amplitudes`: np.linspace(t0, t1, n), forward,
+    # backward, of one repeated time, and of one point
+    GRIDS = [(0.0, 2e4, 2000), (-3.5, 7.25, 37), (5.0, -1e3, 10), (2.0, 2.0, 5), (1.5, 1.5, 1)]
+
+    @staticmethod
+    def _table(t0, t1, n):
+        eps = diagonalize(build_single_particle(ChainSpec(N=46, h=100.0))).eigenvalues
+        ts = np.linspace(t0, t1, n)
+        step = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+        return eps, ts, step, grid_phases(eps, ts[0], step, n)
+
+    @pytest.mark.parametrize("t0, t1, n", GRIDS)
+    def test_block_starts_are_the_per_time_exponentials(self, t0, t1, n):
+        eps, ts, step, (offset, start) = self._table(t0, t1, n)
+        R = min(n, int(n**0.5) + 1)
+        assert offset.shape == (R, len(eps)) and start.shape == (-(-n // R), len(eps))
+        t_b = np.arange(0, len(start) * R, R) * step + ts[0]
+        assert start.tobytes() == np.exp(-1j * np.outer(t_b, eps)).tobytes()
+        assert offset.tobytes() == np.exp(-1j * np.outer(np.arange(R) * step, eps)).tobytes()
+        assert np.all(offset[0] == 1.0)
+        # every block start but the last grid point is np.linspace's time
+        inner = np.arange(0, n - 1, R)
+        assert t_b[: len(inner)].tobytes() == ts[inner].tobytes()
+
+    @pytest.mark.parametrize("t0, t1, n", GRIDS)
+    def test_products_match_the_per_time_exponentials(self, t0, t1, n):
+        # the phase difference of the module docstring's grid paragraph,
+        # u (12 E T + 12), before the row products' rounding
+        eps, ts, step, (offset, start) = self._table(t0, t1, n)
+        b, r = np.divmod(np.arange(n), len(offset))
+        bound = 2.0**-53 * (12 * np.abs(eps).max() * max(abs(t0), abs(t1)) + 12)
+        assert np.max(np.abs(start[b] * offset[r] - np.exp(-1j * np.outer(ts, eps)))) <= bound
+
+    def test_rows_of_one_time_are_the_per_time_rows(self):
+        sd = diagonalize(build_single_particle(ChainSpec(N=46, h=100.0)))
+        for t in (0.0, 1.5, -7.25, 12345.678):
+            offset, start = grid_phases(sd.eigenvalues, t, 0.0, 1)
+            rows = propagator_rows(sd, [1, 2, 45], start * offset)
+            assert rows.tobytes() == propagator_rows(sd, [1, 2, 45], [t]).tobytes()
 
 
 class TestTwoParticle:

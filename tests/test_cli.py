@@ -16,7 +16,7 @@ import xxchain.fidelity as fidelity_module
 import xxchain.sector_oracle as oracle_module
 import xxchain.spectral as spectral_module
 from conftest import pair_amplitude
-from xxchain.amplitudes import propagator
+from xxchain.amplitudes import channel_occupation, propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
 from xxchain.cli import run
 from xxchain.fidelity import WorstCaseBudgetWarning, average_fidelity_exact, haar_average_mc
@@ -468,6 +468,44 @@ class TestOutputs:
         assert run(argv + ["-o", "whole.csv"]) == 0
         assert calls[4:] == [100]
         assert (outdir / "chunked.csv").read_bytes() == (outdir / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("t0, t1, steps", [(0.0, 2e4, 2000), (2e4, 1.5e4, 300),
+                                               (1234.5, 1234.5, 7)])
+    def test_amplitudes_grid_matches_per_time_rows(self, outdir, t0, t1, steps):
+        # the table's phases, over 23 and 4 chunks of 89 points and over one,
+        # against propagator_rows at np.linspace's times, within the
+        # amplitudes module docstring's eps (6 E T + 1.5 N + 8)
+        # per propagator entry; a pair amplitude, two products of entries of
+        # modulus <= 1, moves by at most 4 times that, and the occupation, a
+        # sum of |f|^2 over both sender rows, by 4 sqrt(N) times (Cauchy-
+        # Schwarz), plus the rounding of what each side computes from them
+        argv = ["amplitudes", "--N", "46", "--h", "100", "--t0", repr(t0), "--t1", repr(t1),
+                "--steps", str(steps), "--format", "json"]
+        assert run(argv) == 0
+        table = np.array(strict_json(outdir / "amplitudes.json")["rows"])
+        spec = ChainSpec(N=46, h=100.0)
+        sd = diagonalize(build_single_particle(spec))
+        ts = np.linspace(t0, t1, steps)
+        assert table[:, 0].tobytes() == ts.tobytes()
+        R = propagator_rows(sd, [1, 2], ts)
+        (s1, s2), (r1, r2) = spec.senders, spec.receivers
+        f = [R[:, s - 1, r - 1] for s, r in ((s1, r1), (s1, r2), (s2, r1), (s2, r2))]
+        g = f[0] * f[3] - f[1] * f[2]
+        occupation = channel_occupation(R, spec)
+        eps = 2.0**-52
+        entry = eps * (6 * np.abs(sd.eigenvalues).max() * max(abs(t0), abs(t1)) + 1.5 * 46 + 8)
+        for j, z in enumerate(f + [g]):
+            got = table[:, 2 * j + 1] + 1j * table[:, 2 * j + 2]
+            assert np.max(np.abs(got - z)) <= (4 if j == 4 else 1) * entry + 16 * eps
+        assert np.max(np.abs(table[:, -1] - occupation)) <= 4 * 46**0.5 * entry + 4 * 46 * eps
+
+    def test_amplitudes_one_step_is_the_single_time(self, outdir):
+        # n - 1 = 0 grid steps: the table has one offset, of phase 1
+        base = ["amplitudes", "--N", "46", "--h", "100", "--f", "1,45", "--g", "1,2,45,46"]
+        for t in ("0", "123.25", "-7.5", "19999.9"):
+            assert run(base + ["--t0", t, "--t1", "5", "--steps", "1", "-o", "grid.csv"]) == 0
+            assert run(base + ["--t", t, "-o", "single.csv"]) == 0
+            assert (outdir / "grid.csv").read_bytes() == (outdir / "single.csv").read_bytes()
 
     def test_amplitudes_json_rows_are_the_csv_values(self, outdir, monkeypatch):
         # several chunks, and more rows than two writer blocks
