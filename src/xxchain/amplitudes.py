@@ -149,23 +149,30 @@ def _mirror_parts(a: np.ndarray, parity: np.ndarray, theta: np.ndarray, f: np.nd
     f[h:] = f[N - h - 1 :: -1, ::-1]
 
 
-def grid_phases(eigenvalues: np.ndarray, t0: float, step: float, n: int, rows: int | None = None):
+def _grid_shape(n: int) -> tuple[int, int]:
+    """(R, ceil(n / R)): the offsets and block starts of grid_phases' table for n points.
+
+    R = int(sqrt(n)) + 1, at most n, needs about the fewest exponentials,
+    R + ceil(n / R) per mode.
+    """
+    rows = min(n, int(n**0.5) + 1)
+    return rows, -(-n // rows)
+
+
+def grid_phases(eigenvalues: np.ndarray, t0: float, step: float, n: int):
     """The phases exp(-i eps_k t) on the grid t = t0 + j step, j < n, as a two-level table.
 
     Grid point j = b R + r has the phase start[b] * offset[r]: offset[r] =
     exp(-i eps r step) at the R offsets r < R and start[b] = exp(-i eps (t0
-    + b R step)) at the ceil(n / R) block starts.  That is one exponential
-    per mode and table entry, R + ceil(n / R) per mode instead of n; the
-    default R = int(sqrt(n)) + 1 (at most n) needs about the fewest.  The
-    times are rounded as np.linspace rounds its points, r step and b R step
-    first and then t0 added, so start[b] equals np.exp(-1j *
-    np.outer([t_b], eigenvalues)) at t_b = t0 + b R step bit for bit, and
-    offset[0] is exactly 1.  Returns (offset, start), of shapes (R, M) and
-    (ceil(n / R), M) for M eigenvalues.
+    + b R step)) at the block starts, with R and their count from
+    _grid_shape.  That is one exponential per mode and table entry instead
+    of n per mode.  The times are rounded as np.linspace rounds its points,
+    r step and b R step first and then t0 added, so start[b] equals
+    np.exp(-1j * np.outer([t_b], eigenvalues)) at t_b = t0 + b R step bit
+    for bit, and offset[0] is exactly 1.  Returns (offset, start), of shapes
+    (R, M) and (ceil(n / R), M) for M eigenvalues.
     """
-    if rows is None:
-        rows = min(n, int(n**0.5) + 1)
-    blocks = -(-n // rows)
+    rows, blocks = _grid_shape(n)
     times = np.concatenate([np.arange(rows), np.arange(0, blocks * rows, rows)]) * step
     times[rows:] += t0
     _check_times(times)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -130,19 +129,9 @@ def _fmt(x):
     return str(x)
 
 
-@lru_cache(maxsize=64)
-def _row_format(kinds: tuple) -> str | None:
-    """One %-format for a CSV row whose cells have these types, or None.
-
-    Floats take "%.12g" and other numbers "%s", which spell each cell as
-    _fmt does and need no quoting.  A row with any other cell, such as a
-    string that may hold a comma, is None: it goes through csv.writer.
-    The rows of one table share their cell types, so each table builds its
-    format once.
-    """
-    if not all(issubclass(k, (int, float, np.number)) for k in kinds):
-        return None
-    return ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+def _is_number(x) -> bool:
+    """Whether "%.12g" spells x as _fmt does: a float, or an int below 1e12."""
+    return isinstance(x, float) or type(x) is int and abs(x) < 10**12
 
 
 # Rows per block of _write_rows: one %-format and one write per block.  A
@@ -155,27 +144,22 @@ _ROWS_PER_BLOCK = 256
 def _write_rows(fh, rows):
     """Write rows as csv.writer writes [_fmt(v) for v in row], "\n"-ended.
 
-    rows is a list of rows or a 2-D number array.  Each run of consecutive
-    all-number rows that share _row_format's format, and every row of an
-    array, is written in blocks of _ROWS_PER_BLOCK rows, one %-format and
-    one fh.write per block; an array's cells are read as one flat list, so
-    no row becomes a list of its own.  Other rows go through csv.writer.
+    rows is a list of rows or a 2-D float array.  A list whose cells are
+    all numbers (_is_number) is written as a float array; an array is
+    written in blocks of _ROWS_PER_BLOCK rows, one %-format and one
+    fh.write per block, its cells read as one flat list.  Any other table,
+    such as one with a string cell that may hold a comma, goes through
+    csv.writer.
     """
-    if isinstance(rows, np.ndarray):
-        fmt = _row_format((rows.dtype.type,) * rows.shape[1])
-        for lo in range(0, len(rows), _ROWS_PER_BLOCK):
-            block = rows[lo : lo + _ROWS_PER_BLOCK]
-            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
-        return
-    writer = csv.writer(fh, lineterminator="\n")
-    for fmt, run in itertools.groupby(rows, key=lambda row: _row_format(tuple(map(type, row)))):
-        if fmt is None:
-            writer.writerows([_fmt(v) for v in row] for row in run)
-            continue
-        run = list(run)
-        for lo in range(0, len(run), _ROWS_PER_BLOCK):
-            block = run[lo : lo + _ROWS_PER_BLOCK]
-            fh.write(fmt * len(block) % tuple(itertools.chain.from_iterable(block)))
+    if not isinstance(rows, np.ndarray):
+        if not all(_is_number(v) for row in rows for v in row):
+            csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+            return
+        rows = np.array(rows, dtype=float)
+    fmt = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    for lo in range(0, len(rows), _ROWS_PER_BLOCK):
+        block = rows[lo : lo + _ROWS_PER_BLOCK]
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _finite_or_null(obj):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _check_times, grid_phases, propagator_rows
+from .amplitudes import _check_times, _grid_shape, grid_phases, propagator_rows
 from .chain import ChainSpec, TwoQubitState, _receiver_sites, build_single_particle
 from .spectral import SpectralData, diagonalize
 
@@ -244,17 +244,13 @@ _TRUNCATION_WEIGHT = 1e-3
 # Only chains at small h keep more under _TRUNCATION_WEIGHT: N = 200 at
 # h = 1 keeps 180.
 _SCREEN_MODES = 64
-# Screen layout: phase-table rows, and grid points per product.  Over the 25
-# QUASI_MENU windows (2.0M points, 16 terms) on one core of a 2-core x86 VM
-# the screen took 5.4-5.9 ns per point (median of 9) with 16384-point
-# products at 256 rows, 5.2-5.4 with 512 or 1024 rows and 4.8 with 65536-
-# point products; the spread between runs is about 10%.  16384 keeps the
-# grids that cross a product boundary small enough to check every point.
-_SCREEN_ROWS = 256
+# Grid points per product of the screen.  16384 keeps the grids that cross
+# a product boundary small enough to check every point.
 _SCREEN_POINTS = 16384
-# The most bytes the screen may hold at once.  Its window grows linearly in
-# h on a quasi-Rabi chain: at N = 29 the grid has 3.2e8 points at h = 1e6
-# (1.4 GB held) and 3.2e9 at h = 1e7, which is refused.
+# The most bytes the screen may hold at once.  Its window [0, N h] grows
+# linearly in h on a quasi-Rabi chain: at N = 29 the grid has 3.7e8 points
+# at h = 1e6 (1.48 GB held) and 3.7e9 at h = 1e7, which is refused, as is
+# h = 1e12 (3.7e14 points).
 _SCREEN_BYTES = 2 << 30
 
 # The products of the extra mode of _coherent_terms, the antidiagonal of J
@@ -343,13 +339,13 @@ def _fidelity_bound(
     + d11 d22 + W12 d21 + W21 d12 + d12 d21, and D adds the |m| of the terms
     left out.  The screen costs P complex multiply-adds per point, in single
     precision: the terms' phases at the block starts times a table of their
-    weighted phases at _SCREEN_ROWS offsets, one product per _SCREEN_POINTS
-    points with a single output.  Every phase argument is formed in double
-    precision, one exponential per kept mode and table time, by
-    amplitudes.grid_phases, the helper `xxchain amplitudes` builds its grid
-    phases with; the screen caps its rows at _SCREEN_ROWS.  A screen that
-    would hold more than _SCREEN_BYTES raises ArithmeticError before it
-    allocates its grid arrays.
+    weighted phases at the table's offsets, one product per _SCREEN_POINTS
+    points (at least one block) with a single output.  Every phase argument
+    is formed in double precision, one exponential per kept mode and table
+    time, by amplitudes.grid_phases, the helper `xxchain amplitudes` builds
+    its grid phases with; amplitudes._grid_shape sets the table's shape.  A
+    screen that would hold more than _SCREEN_BYTES raises ArithmeticError
+    before it allocates its grid arrays.
     """
     if n < 1:
         raise ValueError(f"need at least one grid point, got n = {n}")
@@ -418,10 +414,7 @@ def _fidelity_bound(
     S = float(cumulative[-1]) - dropped
     sigma += (math.sqrt(2.0) * gamma + 5 * r) * (1.0 + r) ** 4 * S
 
-    # a table of about sqrt(n) rows needs the fewest exponentials, table and
-    # block starts together, below _SCREEN_ROWS^2 points
-    rows = min(n, _SCREEN_ROWS, int(n**0.5) + 1)
-    blocks = -(-n // rows)
+    rows, blocks = _grid_shape(n)
     per_chunk = max(1, _SCREEN_POINTS // rows)
     # the most bytes the arrays below hold at once, over the rows + blocks
     # times: first the modes' complex128 phases and their arguments, or the
@@ -440,7 +433,7 @@ def _fidelity_bound(
         )
     # the phases of every term at the table's offsets, times m, and at the
     # block starts, from grid_phases' one exponential per mode and time
-    offset, start = grid_phases(e, t0, step, n, rows)
+    offset, start = grid_phases(e, t0, step, n)
     table = (offset[:, k] * offset[:, l] * m).astype(np.complex64).T
     start = (start[:, k] * start[:, l]).astype(np.complex64)
     del offset  # the modes' complex128 phases, before the products' arrays

@@ -8,7 +8,8 @@ sin(omega1_minus t), so the readout time sits near the envelope's first
 quarter period t1 = pi/(2 omega1_minus) ~ (pi/2) h^2.  At N = 3n - 1
 (quasi-Rabi) two extended states join in and the optimum instead tracks a
 beat between two nearly equal slow frequencies, scaling linearly in h and
-N.  The search below reads its window from these levels, scans the exact
+N.  The search below takes its window from the regime, around the Rabi
+levels' analytic candidate or [0, N h] at N = 3n - 1, scans the exact
 average fidelity over it and refines the best point by Newton's method on
 the exact first and second time derivatives of Fbar.
 """
@@ -50,7 +51,8 @@ class TransferTimeResult:
     a quasi-Rabi chain or where it is not a positive time.
     candidate/candidate_fidelity record the regime's analytic candidate
     (the scan's best point where it has none) before refinement;
-    search_window the time interval actually scanned.
+    search_window the time interval actually scanned, (0, N h) on a
+    quasi-Rabi chain.
     The grid scan's work: grid_points in the window, modes_kept by its
     screen (fidelity._fidelity_bound) and screen_terms, the terms its sum
     evaluates, with the truncation_bound D on the coherent amplitude, and
@@ -96,7 +98,7 @@ def re_f_truncated(t, spec: ChainSpec, sd: SpectralData | None = None):
 
 
 def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: float):
-    """Best (time, fidelity) of the exact fidelity on np.arange(lo, hi + step, step).
+    """Best point of the exact fidelity on np.arange(lo, hi + step, step).
 
     The grid is not materialized: its times are lo + j * ((lo + step) - lo),
     the spacing np.arange realizes, so t* stays bit for bit where a grid of
@@ -108,7 +110,9 @@ def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: flo
     time moves with the batch of times it is evaluated in: points that close
     may trade places.  weights comes from fidelity._evaluator_weights; its
     first four columns are the edge products the screen reads.  Returns
-    (time, fidelity, work) with work keyed by _SEARCH_WORK.
+    (time, row, work): row is the winner's (Fbar, Fbar', Fbar'', f) from
+    the batch it was ranked in, the start _refine takes, and work is keyed
+    by _SEARCH_WORK.
     """
     n = int(np.ceil((hi + step - lo) / step))
     step = (lo + step) - lo
@@ -116,34 +120,35 @@ def _scan(sd: SpectralData, weights: np.ndarray, lo: float, hi: float, step: flo
     screen = _fidelity_bound(eps, weights[:, :4].real, lo, step, n)
     L = _fidelity_at(eps, weights, lo + int(np.argmax(screen.modulus)) * step)[0]
     idx = screen.reaching(L)
-    F = _fidelity_at(eps, weights, lo + idx * step)[0]
+    F, d1, d2, f = _fidelity_at(eps, weights, lo + idx * step)
     j = int(np.argmax(F))
     work = (screen.modes_kept, screen.screen_terms, screen.truncation_bound, n, len(idx))
-    work = dict(zip(_SEARCH_WORK, work))
-    return lo + int(idx[j]) * step, float(F[j]), work
+    row = float(F[j]), float(d1[j]), float(d2[j]), f[j]
+    return lo + int(idx[j]) * step, row, dict(zip(_SEARCH_WORK, work))
 
 
 def _refine(
-    sd: SpectralData, weights: np.ndarray, t0: float, halfwidth: float
+    sd: SpectralData, weights: np.ndarray, t0: float, row: tuple, halfwidth: float
 ) -> tuple[float, float, np.ndarray]:
     """Maximizer of the exact fidelity on [max(0, t0 - halfwidth), t0 + halfwidth].
 
-    A safeguarded Newton iteration on Fbar' over the offset s = t - t0 in
+    row is (Fbar, Fbar', Fbar'', f) at t0, as fidelity._fidelity_at gives
+    it and _scan hands it over; t0 is not evaluated again.  A safeguarded
+    Newton iteration on Fbar' over the offset s = t - t0 in
     [max(-t0, -halfwidth), halfwidth], with Fbar' and Fbar'' exact from
-    fidelity._fidelity_at.  The sign of Fbar' at each point shrinks the
-    bracket; the next point is the Newton step s - Fbar'/Fbar'' where
-    Fbar'' < 0 and the step stays inside the bracket, and the bracket's
-    midpoint otherwise.  It stops once the Newton step's predicted gain
-    -Fbar'^2/(2 Fbar'') is below one ulp of Fbar, or once the next point
-    would not move t inside the bracket, and returns the best point
-    evaluated as (t, Fbar(t), amplitudes at t): t0 unless another is above
-    Fbar(t0).  From the scan's best grid point it lands on the stationary
-    point in two or three evaluations; a peak at a bracket end is reached
-    by bisection.
+    _fidelity_at.  The sign of Fbar' at each point shrinks the bracket; the
+    next point is the Newton step s - Fbar'/Fbar'' where Fbar'' < 0 and the
+    step stays inside the bracket, and the bracket's midpoint otherwise.  It
+    stops once the Newton step's predicted gain -Fbar'^2/(2 Fbar'') is below
+    one ulp of Fbar, or once the next point would not move t inside the
+    bracket, and returns the best point as (t, Fbar(t), amplitudes at t):
+    t0 and row's unless another is above row's Fbar.  From the scan's best
+    grid point it lands on the stationary point in one or two more
+    evaluations; a peak at a bracket end is reached by bisection.
     """
     lo, hi = max(-t0, -halfwidth), halfwidth
     s = 0.0
-    F, d1, d2, f = _fidelity_at(sd.eigenvalues, weights, t0)
+    F, d1, d2, f = row
     best = float(t0), F, f
     while True:
         # the Newton step, or an infinite step uphill where Fbar is not concave
@@ -193,17 +198,6 @@ def _rabi_window(N: int, freqs: RabiFrequencies) -> tuple[float, float, float]:
     return max(0.0, cand - span), cand + span, cand
 
 
-def _quasi_rabi_window(levels: np.ndarray) -> tuple[float, float, None]:
-    """From 0 to the longest slow period of the six levels, with no candidate."""
-    w14p = (levels[0] + levels[3]) / 2.0
-    w25p = (levels[1] + levels[4]) / 2.0
-    beat = abs(w14p - w25p)
-    periods = [2.0 * np.pi / abs(w) for w in (w14p, beat) if abs(w) > 1e-12]
-    if not periods:
-        raise ArithmeticError("all slow frequencies vanished; cannot bound the search")
-    return 0.0, float(max(periods)), None
-
-
 def _check_barrier_chain(spec: ChainSpec, parts=("couplings", "fields")) -> None:
     """Raise ValueError unless each of parts, by default the spec's couplings
     and fields, is the barrier chain's: J = 1 on every bond, h on the barrier
@@ -228,12 +222,14 @@ def find_transfer_time(
 
     The regime sets the window (lo, hi) and its analytic candidate:
     two fast periods either side of the time where the fast and slow
-    factors of the four-state amplitude align (Rabi), or 0 to the longest
-    slow period with the scan's best point as candidate (quasi-Rabi).  The
-    step pi/(20 omega0-) does not alias the fastest frequency.  One tail
-    then grid-scans the exact average fidelity over the window and refines
-    the best point within one step either side by _refine, a safeguarded
-    Newton iteration on the exact Fbar' and Fbar''.
+    factors of the four-state amplitude align (Rabi), or [0, N h], the
+    horizon of the linear time law, with the scan's best point as
+    candidate (quasi-Rabi; h = 0 leaves no window and is a ValueError).
+    The step pi/(20 omega0-) does not alias the fastest frequency.  One
+    tail then grid-scans the exact average fidelity over the window and
+    refines the best point within one step either side by _refine, a
+    safeguarded Newton iteration on the exact Fbar' and Fbar'' that starts
+    from the scan's own value at that point.
 
     The scan picks the grid point where fidelity._fidelity_at is largest,
     without evaluating every point on all modes: fidelity._fidelity_bound
@@ -241,12 +237,12 @@ def find_transfer_time(
     edge weight, summed over their single and pair levels, with a certified
     bound on the rest and on its rounding, and only the points that bound
     cannot rule out are evaluated on all modes.  On the 25 quasi-Rabi
-    windows of the benchmark menu (2.0M points, 6 modes and 16 terms kept)
-    that costs 5-6 ns per point (median of nine runs) on one core of a
-    2-core x86 VM, against about 3 us for _fidelity_at at every point.  The
-    evaluator's weights are built once per search.  The result is the
-    chain's whole transfer-time row: it unpacks as (t*, Fbar(t*)), adds
-    F_approx and t1 and records the candidate and the scan's work.
+    windows of the benchmark menu (2.2M points, 6 modes and 16 terms kept)
+    the screen costs 7-11 ns per point (medians of 15 passes) on one core
+    of a 2-core x86 VM, against about 3 us for _fidelity_at at every
+    point.  The evaluator's weights are built once per search.  The result
+    is the chain's whole transfer-time row: it unpacks as (t*, Fbar(t*)),
+    adds F_approx and t1 and records the candidate and the scan's work.
 
     In both regimes omega0- is taken from the outer four of the edge_modes
     levels, the lowest two and the highest two.  For a Rabi chain they are
@@ -254,8 +250,12 @@ def find_transfer_time(
     state at +2, not a level of the quadruplet of localized_indices; a step
     from the quadruplet moves t* on most quasi-Rabi chains.
 
-    The search is defined on the barrier chain only: custom couplings or
-    fields are a ValueError (_check_barrier_chain).
+    A degenerate level set is refused in both regimes by one rule,
+    RabiFrequencies.envelope_time (an ArithmeticError), and a screen too
+    large to hold by fidelity._fidelity_bound's memory guard, as at N = 29,
+    h = 1e12, where the window holds 3.7e14 grid points.  The search is
+    defined on the barrier chain only: custom couplings or fields are a
+    ValueError (_check_barrier_chain).
     """
     _check_barrier_chain(spec)
     if sd is None:
@@ -263,18 +263,21 @@ def find_transfer_time(
     regime = classify_chain(spec.N)
     levels = sd.eigenvalues[edge_modes(spec.N)]
     freqs = rabi_frequencies(levels[[0, 1, -2, -1]])
+    # one rule refuses a degenerate level set in both regimes, before the
+    # step divides by omega0-, which is 0 too at h = 1e200
+    freqs.envelope_time
+    step = np.pi / (20.0 * freqs.omega0_minus)
     if regime == "quasi-rabi":
-        lo, hi, cand = _quasi_rabi_window(levels)
+        if spec.h == 0.0:
+            raise ValueError("the quasi-Rabi window [0, N h] has no length at h = 0")
+        lo, hi, cand = 0.0, spec.N * spec.h, None
     else:
         lo, hi, cand = _rabi_window(spec.N, freqs)
-    # after the window, which rejects a degenerate quadruplet: omega0- is 0
-    # too at h = 1e200
-    step = np.pi / (20.0 * freqs.omega0_minus)
     weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
-    t_best, F_best, work = _scan(sd, weights, lo, hi, step)
-    t_star, F, (f11, f12, f21, _) = _refine(sd, weights, t_best, step)
+    t_best, row, work = _scan(sd, weights, lo, hi, step)
+    t_star, F, (f11, f12, f21, _) = _refine(sd, weights, t_best, row, step)
     if cand is None:
-        cand, F_cand = t_best, F_best
+        cand, F_cand = t_best, row[0]
     else:
         F_cand = _fidelity_at(sd.eigenvalues, weights, cand)[0]
     return TransferTimeResult(

@@ -134,10 +134,12 @@ def evolve(spec: ChainSpec, state: TwoQubitState, t: float) -> EvolvedState:
     s1, s2 = spec.senders
     # the input's coefficients on the eigenstates: the sender rows of the
     # eigenvector matrices times its amplitudes, with no product over the
-    # zero entries of a site-basis input vector
-    c1 = v1 @ (np.exp(-1j * w1 * t) * (state.gamma * v1[s1 - 1] + state.beta * v1[s2 - 1]))
-    pair = v2[SectorBasis(spec.N).pair_index[(s1, s2)]]
-    c2 = v2 @ (np.exp(-1j * w2 * t) * (state.delta * pair))
+    # zero entries of a site-basis input vector; each real matrix times the
+    # real and the imaginary part, so no complex copy of it is made
+    z1 = np.exp(-1j * w1 * t) * (state.gamma * v1[s1 - 1] + state.beta * v1[s2 - 1])
+    c1 = v1 @ z1.real + 1j * (v1 @ z1.imag)
+    z2 = np.exp(-1j * w2 * t) * (state.delta * v2[SectorBasis(spec.N).pair_index[(s1, s2)]])
+    c2 = v2 @ z2.real + 1j * (v2 @ z2.imag)
     return EvolvedState(c0=complex(state.alpha), c1=c1, c2=c2)
 
 

@@ -317,6 +317,11 @@ class TestExitCodes:
              "error: degenerate quadruplet"),
             (["fidelity", "--N", "30", "--h", "1e200", "--t-star"],
              "error: degenerate quadruplet"),
+            (["transfer-time", "--N", "29", "--h", "1e200"],
+             "error: degenerate quadruplet: slow envelope frequency is zero"),
+            # the quasi-Rabi window [0, N h] would take 3.7e14 grid points
+            (["transfer-time", "--N", "29", "--h", "1e12"],
+             "error: the t* screen of "),
             # perturb checks the exact quadruplet before the cubic sees h
             (["perturb", "--N", "30", "--h", "1e12"],
              "error: degenerate quadruplet: slow envelope frequency is zero"),
@@ -327,7 +332,8 @@ class TestExitCodes:
              "error: channel momentum k = 1 is resonant with cubic root x2 = 0: "),
         ],
         ids=["h-doubled-overflow", "coupling-doubled-overflow", "transfer-time-degenerate",
-             "fidelity-t-star-degenerate", "perturb-degenerate-1e12", "perturb-degenerate-1e200",
+             "fidelity-t-star-degenerate", "quasi-rabi-degenerate", "quasi-rabi-screen-too-large",
+             "perturb-degenerate-1e12", "perturb-degenerate-1e200",
              "perturb-roundoff-resonance"],
     )
     def test_extreme_field_is_an_error_line(self, argv, message, outdir, capsys):
@@ -736,7 +742,7 @@ class TestCsvRows:
         rows = [_SPECIAL_FLOATS[i:] + _SPECIAL_FLOATS[:i] for i in range(len(_SPECIAL_FLOATS))]
         rows += (rng.normal(size=(50, 16)) * 10.0 ** rng.integers(-30, 30, size=(50, 16))).tolist()
         rows.append([np.float64(x) for x in _SPECIAL_FLOATS])
-        assert cli_module._row_format(tuple(map(type, rows[0]))) is not None
+        assert all(map(cli_module._is_number, rows[0]))
         assert _new_csv_rows(rows) == _old_csv_rows(rows)
 
     def test_float_array_in_blocks(self):
@@ -748,17 +754,21 @@ class TestCsvRows:
         assert _new_csv_rows(table) == _old_csv_rows(table.tolist())
 
     def test_runs_across_blocks(self):
-        # runs of one format longer than a block, ended by a string row and
-        # by rows of another format
+        # an all-number table of int and float rows, longer than a block,
+        # goes by the array path; with one string row it goes through
+        # csv.writer
         block = cli_module._ROWS_PER_BLOCK
         floats = [[x, -x] for x in np.linspace(-1.0, 1.0, block + 5).tolist()]
         ints = [[k, 0.5] for k in range(block + 1)]
-        rows = floats + [["rabi", 1.0]] + ints + floats[:3]
-        assert _new_csv_rows(rows) == _old_csv_rows(rows)
+        for rows in (floats + ints + floats[:3], floats + [["rabi", 1.0]] + ints + floats[:3]):
+            assert _new_csv_rows(rows) == _old_csv_rows(rows)
 
     def test_int_column(self):
         rows = [[k, x, np.int64(-k), True] for k, x in enumerate(_SPECIAL_FLOATS)]
         rows.append([2**70, 0.5, np.int32(7), False])
+        assert _new_csv_rows(rows) == _old_csv_rows(rows)
+        # ints from 1e12 on, where "%.12g" would round them, without a bool
+        rows = [[10**12 - 1, 0.5], [-(10**12), 1.5], [2**70, -0.0]]
         assert _new_csv_rows(rows) == _old_csv_rows(rows)
 
     def test_string_cells_stay_quoted(self):
@@ -767,7 +777,7 @@ class TestCsvRows:
             [30, 2.5, 'h must be >= 0, got "-1.0"', float("inf"), "line\nbreak"],
             [31, 0.25, 1.0, -0.0, 7],
         ]
-        assert cli_module._row_format(tuple(map(type, rows[1]))) is None
+        assert not all(map(cli_module._is_number, rows[1]))
         text = _new_csv_rows(rows)
         assert text == _old_csv_rows(rows)
         assert '"h must be >= 0, got ""-1.0"""' in text

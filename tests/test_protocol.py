@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
+import xxchain.protocol as protocol_module
 from conftest import random_grid_chain, reference_fbar
 from xxchain.amplitudes import propagator, propagator_rows
 from xxchain.chain import ChainSpec, build_single_particle
@@ -153,6 +154,45 @@ class TestFindTransferTime:
         F = _fidelity_at(sd.eigenvalues, weights, res.candidate)[0]
         assert abs(res.candidate_fidelity - F) <= 1e-14
 
+    @pytest.mark.parametrize("N, h", [(29, 100.0), (50, 200.0), (32, 1000.0)])
+    def test_quasi_rabi_window_is_zero_to_N_h(self, N, h):
+        assert find_transfer_time(ChainSpec(N=N, h=h)).search_window == (0.0, N * h)
+
+    def test_quasi_rabi_window_of_no_length_refused(self):
+        with pytest.raises(ValueError, match=r"window \[0, N h\] has no length at h = 0"):
+            find_transfer_time(ChainSpec(N=29, h=0.0))
+
+    @pytest.mark.parametrize("N, h", [(29, 100.0), (30, 60.0), (33, 4000.0), (200, 1.0)])
+    def test_refine_evaluates_no_scanned_time(self, N, h, monkeypatch):
+        # _scan hands its winner's (Fbar, Fbar', Fbar'', f) to _refine, so
+        # every time _refine evaluates is a new one
+        seen = {"_scan": set(), "_refine": set()}
+        stage = []
+        evaluate = protocol_module._fidelity_at
+
+        def recording(eigenvalues, weights, t):
+            if stage:
+                seen[stage[-1]].update(np.atleast_1d(t).tolist())
+            return evaluate(eigenvalues, weights, t)
+
+        def staged(name):
+            real = getattr(protocol_module, name)
+
+            def call(*args):
+                stage.append(name)
+                try:
+                    return real(*args)
+                finally:
+                    stage.pop()
+
+            return call
+
+        monkeypatch.setattr(protocol_module, "_fidelity_at", recording)
+        for name in seen:
+            monkeypatch.setattr(protocol_module, name, staged(name))
+        find_transfer_time(ChainSpec(N=N, h=h))
+        assert seen["_scan"] and not seen["_refine"] & seen["_scan"]
+
     def test_reading_window_recurrences(self):
         # near-optimal readout times recur with the fast edge frequency,
         # giving several separated high-fidelity clusters around t*
@@ -187,12 +227,12 @@ class TestPrunedScan:
         for t0 in (t_seed, t_seed + 2e5):
             spacing = (t0 + step) - t0
             for n in self.SIZES:
-                t_best, F_best, work = _scan(sd, weights, t0, t0 + (n - 1.5) * step, step)
+                t_best, row, work = _scan(sd, weights, t0, t0 + (n - 1.5) * step, step)
                 assert work["grid_points"] == n
                 F = _fidelity_at(sd.eigenvalues, weights, t0 + np.arange(n) * spacing)[0]
                 j = int(np.argmax(F))
                 assert t_best == t0 + j * spacing
-                assert abs(F_best - F[j]) <= 1e-14
+                assert abs(row[0] - F[j]) <= 1e-14
                 assert 1 <= work["grid_points_exact"] <= n
 
     @pytest.mark.parametrize("seed", range(20))
@@ -285,7 +325,8 @@ class TestRefine:
         sd = diagonalize(build_single_particle(spec))
         lo, hi = max(0.0, t0 - halfwidth), t0 + halfwidth
         weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))
-        t = _refine(sd, weights, t0, halfwidth)[0]
+        start = _fidelity_at(sd.eigenvalues, weights, t0)
+        t = _refine(sd, weights, t0, start, halfwidth)[0]
         t_peak, F_peak = hill_climb_peak(spec, t0, lo, hi)
         assert lo <= t <= hi
         assert reference_fbar(spec)(np.array([t]))[0] >= F_peak - 1e-12
