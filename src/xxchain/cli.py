@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -144,22 +145,25 @@ _ROWS_PER_BLOCK = 256
 def _write_rows(fh, rows):
     """Write rows as csv.writer writes [_fmt(v) for v in row], "\n"-ended.
 
-    rows is a list of rows or a 2-D float array.  A list whose cells are
-    all numbers (_is_number) is written as a float array; an array is
-    written in blocks of _ROWS_PER_BLOCK rows, one %-format and one
-    fh.write per block, its cells read as one flat list.  Any other table,
-    such as one with a string cell that may hold a comma, goes through
-    csv.writer.
+    rows is a list of rows or a 2-D float array.  An array, or a list
+    whose cells are all numbers (_is_number), is written in blocks of
+    _ROWS_PER_BLOCK rows, one %-format and one fh.write per block, its
+    cells read as one flat list.  Any other table, such as one with a
+    string cell that may hold a comma, goes through csv.writer.
     """
-    if not isinstance(rows, np.ndarray):
-        if not all(_is_number(v) for row in rows for v in row):
-            csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
-            return
-        rows = np.array(rows, dtype=float)
-    fmt = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    if not isinstance(rows, np.ndarray) and not all(
+        _is_number(v) for row in rows for v in row
+    ):
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+        return
     for lo in range(0, len(rows), _ROWS_PER_BLOCK):
         block = rows[lo : lo + _ROWS_PER_BLOCK]
-        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+        if isinstance(block, np.ndarray):
+            cells = block.ravel().tolist()
+        else:
+            cells = list(itertools.chain.from_iterable(block))
+        fmt = ",".join(["%.12g"] * len(block[0])) + "\n"
+        fh.write(fmt * len(block) % tuple(cells))
 
 
 def _finite_or_null(obj):

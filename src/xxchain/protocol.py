@@ -9,9 +9,9 @@ quarter period t1 = pi/(2 omega1_minus) ~ (pi/2) h^2.  At N = 3n - 1
 (quasi-Rabi) two extended states join in and the optimum instead tracks a
 beat between two nearly equal slow frequencies, scaling linearly in h and
 N.  The search below takes its window from the regime, around the Rabi
-levels' analytic candidate or [0, N h] at N = 3n - 1, scans the exact
-average fidelity over it and refines the best point by Newton's method on
-the exact first and second time derivatives of Fbar.
+levels' analytic candidate or [0, N max(h, 1)] at N = 3n - 1, scans the
+exact average fidelity over it and refines the best point by Newton's
+method on the exact first and second time derivatives of Fbar.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class TransferTimeResult:
     a quasi-Rabi chain or where it is not a positive time.
     candidate/candidate_fidelity record the regime's analytic candidate
     (the scan's best point where it has none) before refinement;
-    search_window the time interval actually scanned, (0, N h) on a
-    quasi-Rabi chain.
+    search_window the time interval actually scanned, (0, N max(h, 1))
+    on a quasi-Rabi chain.
     The grid scan's work: grid_points in the window, modes_kept by its
     screen (fidelity._fidelity_bound) and screen_terms, the terms its sum
     evaluates, with the truncation_bound D on the coherent amplitude, and
@@ -222,9 +222,11 @@ def find_transfer_time(
 
     The regime sets the window (lo, hi) and its analytic candidate:
     two fast periods either side of the time where the fast and slow
-    factors of the four-state amplitude align (Rabi), or [0, N h], the
-    horizon of the linear time law, with the scan's best point as
-    candidate (quasi-Rabi; h = 0 leaves no window and is a ValueError).
+    factors of the four-state amplitude align (Rabi), or [0, N max(h, 1)]
+    with the scan's best point as candidate (quasi-Rabi): N h is the
+    horizon of the linear time law, and below h = 1 the window keeps the
+    length N, twice the free chain's transit time N/2, so at small h
+    (and at h = 0) it still holds the first arrival at the far end.
     The step pi/(20 omega0-) does not alias the fastest frequency.  One
     tail then grid-scans the exact average fidelity over the window and
     refines the best point within one step either side by _refine, a
@@ -268,9 +270,7 @@ def find_transfer_time(
     freqs.envelope_time
     step = np.pi / (20.0 * freqs.omega0_minus)
     if regime == "quasi-rabi":
-        if spec.h == 0.0:
-            raise ValueError("the quasi-Rabi window [0, N h] has no length at h = 0")
-        lo, hi, cand = 0.0, spec.N * spec.h, None
+        lo, hi, cand = 0.0, spec.N * max(spec.h, 1.0), None
     else:
         lo, hi, cand = _rabi_window(spec.N, freqs)
     weights = _evaluator_weights(sd.eigenvalues, edge_products(spec, sd))

@@ -158,9 +158,23 @@ class TestFindTransferTime:
     def test_quasi_rabi_window_is_zero_to_N_h(self, N, h):
         assert find_transfer_time(ChainSpec(N=N, h=h)).search_window == (0.0, N * h)
 
-    def test_quasi_rabi_window_of_no_length_refused(self):
-        with pytest.raises(ValueError, match=r"window \[0, N h\] has no length at h = 0"):
-            find_transfer_time(ChainSpec(N=29, h=0.0))
+    @pytest.mark.parametrize(
+        "N, h, t_ref, F_ref",
+        [
+            (32, 0.1, 9.682400205033503, 0.485844491001113),
+            (29, 0.1, 8.91938173966398, 0.298249414983617),
+            (29, 0.0, 8.93425098513919, 0.28736254863158833),
+            (29, 1e-300, 8.93425098513919, 0.28736254863158833),
+        ],
+    )
+    def test_quasi_rabi_window_holds_the_transit_below_h_1(self, N, h, t_ref, F_ref):
+        # below h = 1 the window keeps the length N, twice the free chain's
+        # transit time N/2; [0, N h] ended before the first arrival and
+        # returned the initial state, t* = 0 and Fbar = 1/4
+        res = find_transfer_time(ChainSpec(N=N, h=h))
+        assert res.search_window == (0.0, float(N))
+        assert res.t_star == pytest.approx(t_ref, rel=1e-9, abs=0.0)
+        assert res.fidelity == pytest.approx(F_ref, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("N, h", [(29, 100.0), (30, 60.0), (33, 4000.0), (200, 1.0)])
     def test_refine_evaluates_no_scanned_time(self, N, h, monkeypatch):
